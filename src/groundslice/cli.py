@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ssl_frame as sslmod
-from .config import RunConfig, default_config, dump_config, load_config
+from .config import PARITIES, RunConfig, default_config, dump_config, load_config
 from .kitti_io import GROUND_CLASS_PRESETS, load_frame, list_sequence, load_velodyne_bin
 from .metrics import aggregate, confusion, f1, iou, write_frame_csv, write_summary_csv
 from .parallel_exec import (METHODS, SliceExecutor, frame_from_cloud,
@@ -336,9 +336,7 @@ def cmd_render(args) -> int:
 
 def cmd_decode_ssl(args) -> int:
     cfg = _load_cfg(args)
-    parity = args.parity or cfg.ssl.parity
-    if parity not in ("even", "odd"):
-        raise UsageError(f"--parity must be even or odd, got {parity!r}")
+    parity = args.parity or cfg.ssl.parity  # both checked: argparse choices, load_config
     path = Path(args.ssl_file)
     if not path.is_file():
         raise UsageError(f"capture not found: {path}")
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode-ssl", help="organize a raw capture, print stats")
     add_shared(p)
-    p.add_argument("--parity", choices=("even", "odd"))
+    p.add_argument("--parity", choices=PARITIES)
     p.set_defaults(func=cmd_decode_ssl)
 
     return parser

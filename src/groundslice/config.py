@@ -13,6 +13,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 
+BACKENDS = ("process", "thread", "serial")  # parallel.backend
+PARITIES = ("even", "odd")  # ssl.parity
+
+
 @dataclass
 class ProjectionConfig:
     """Spherical projection geometry for mechanical scans (HDL-64E defaults)."""
@@ -141,8 +145,8 @@ def save_config(cfg: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     """Load a config file, overlaying values onto the defaults.
 
-    Unknown sections or keys are rejected so typos do not silently fall back
-    to defaults.
+    Unknown sections or keys, and enum values outside their choices, are
+    rejected so typos do not silently fall back to defaults or fail mid-run.
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -158,6 +162,10 @@ def load_config(path) -> RunConfig:
                 raise ValueError(f"unknown config key {section}.{key}")
             current = getattr(sub, key)
             setattr(sub, key, _parse_value(raw, type(current)))
+    for key, value, allowed in (("parallel.backend", cfg.parallel.backend, BACKENDS),
+                                ("ssl.parity", cfg.ssl.parity, PARITIES)):
+        if value not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
     return cfg
 
 

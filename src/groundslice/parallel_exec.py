@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import BACKENDS, RunConfig
 from .kitti_io import PointCloud
 from .range_image import (RangeImage, from_ssl_frame, merge_masks,
                           partition_azimuth, project_spherical, slice_columns)
@@ -60,17 +60,18 @@ class Frame:
     frame_id: str
     cloud: PointCloud
     native_image: RangeImage | None = None
-    _projected: RangeImage | None = field(default=None, repr=False)
+    # (rows, cols, vertical_span) of the cached projection, and the image
+    _projected: tuple[tuple, RangeImage] | None = field(default=None, repr=False)
 
     def range_image(self, cfg: RunConfig) -> RangeImage:
         if self.native_image is not None:
             return self.native_image
-        if self._projected is None:
-            proj = cfg.projection
-            self._projected = project_spherical(
-                self.cloud, proj.rows, proj.cols, proj.vertical_span
-            )
-        return self._projected
+        proj = cfg.projection
+        key = (proj.rows, proj.cols, proj.vertical_span)
+        if self._projected is None or self._projected[0] != key:
+            image = project_spherical(self.cloud, *key)
+            self._projected = (key, image)
+        return self._projected[1]
 
 
 def frame_from_cloud(cloud: PointCloud, frame_id: str = "frame") -> Frame:
@@ -99,6 +100,12 @@ class SliceError(RuntimeError):
     def __init__(self, slice_index: int, cause: Exception):
         super().__init__(f"slice {slice_index}: {cause}")
         self.slice_index = slice_index
+        self.cause = cause
+
+    def __reduce__(self):
+        # pickle the constructor arguments, so a failure raised in a pool
+        # worker arrives in the parent with its slice index
+        return type(self), (self.slice_index, self.cause)
 
 
 def _segment_slice(task) -> np.ndarray:
@@ -145,7 +152,7 @@ class SliceExecutor:
     """
 
     def __init__(self, units: int, backend: str = "process"):
-        if backend not in ("process", "thread", "serial"):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.units = units
         self.backend = backend

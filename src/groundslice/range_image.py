@@ -76,22 +76,26 @@ def project_spherical(cloud: PointCloud, rows: int, cols: int,
 
     keep = in_span & (rng > 0)
     idx = np.nonzero(keep)[0]
-    # nearest-wins with lowest-index tiebreak: stable sort by range, first
-    # occurrence per bin sticks
-    order = np.argsort(rng[idx], kind="stable")
-    idx = idx[order]
     bins = row[idx] * cols + col[idx]
-    first = np.unique(bins, return_index=True)[1]
-    winners = idx[first]
-    win_bins = bins[first]
+    alone = np.bincount(bins, minlength=rows * cols)[bins] == 1
+    # nearest-wins with lowest-index tiebreak, decided only where points
+    # share a bin: the stable sort by (bin, range) puts each bin's winner first
+    shared = idx[~alone]
+    shared_bins = bins[~alone]
+    order = np.lexsort((rng[shared], shared_bins))
+    shared = shared[order]
+    shared_bins = shared_bins[order]
+    first = np.ones(shared.size, dtype=bool)
+    first[1:] = shared_bins[1:] != shared_bins[:-1]
 
-    range_m = np.zeros((rows, cols), dtype=np.float64)
-    out_xyz = np.zeros((rows, cols, 3), dtype=np.float64)
-    point_index = np.full((rows, cols), EMPTY, dtype=np.int64)
-    r_i, c_i = np.divmod(win_bins, cols)
-    range_m[r_i, c_i] = rng[winners]
-    out_xyz[r_i, c_i] = xyz[winners]
-    point_index[r_i, c_i] = winners
+    point_index = np.full(rows * cols, EMPTY, dtype=np.int64)
+    point_index[bins[alone]] = idx[alone]
+    point_index[shared_bins[first]] = shared[first]
+    # EMPTY (-1) picks the zero appended after the last point
+    range_m = np.append(rng, 0.0)[point_index].reshape(rows, cols)
+    out_xyz = np.vstack((xyz, np.zeros((1, 3)))).take(point_index, axis=0)
+    out_xyz = out_xyz.reshape(rows, cols, 3)
+    point_index = point_index.reshape(rows, cols)
 
     return RangeImage(
         rows=rows,

@@ -2,17 +2,18 @@
 
 Per column, the inclination angle between vertically consecutive returns is
 computed bottom-up, smoothed with a Savitzky-Golay least-squares filter, and
-ground labels are grown by breadth-first search from low-angle seeds on the
-lowest returns. Everything is a pure function of its inputs, so slices can
-run on concurrent workers untouched.
+ground labels grow from low-angle seeds on the lowest returns: the seeded
+connected components of the angle-step graph, the same set a breadth-first
+search from the seeds reaches. Everything is a pure function of its inputs,
+so slices can run on concurrent workers untouched.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .config import DepthConfig
 from .range_image import RangeImage
@@ -92,45 +93,42 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
     half = window // 2
     offsets = np.arange(-half, half + 1)
 
-    # stacks of the window contents for every pixel: shifted copies with
-    # out-of-bounds rows marked invalid
-    vals = np.zeros((window, rows, cols), dtype=np.float64)
-    ok = np.zeros((window, rows, cols), dtype=bool)
-    for i, off in enumerate(offsets):
-        if off < 0:
-            vals[i, -off:, :] = a[:off, :]
-            ok[i, -off:, :] = v[:off, :]
-        elif off > 0:
-            vals[i, :-off, :] = a[off:, :]
-            ok[i, :-off, :] = v[off:, :]
-        else:
-            vals[i] = a
-            ok[i] = v
+    # window offset i of pixel (r, c) sits at (r + i, c) of the padded
+    # copies; padding and invalid pixels read as 0 with validity off
+    pad_a = np.zeros((rows + 2 * half, cols), dtype=np.float64)
+    pad_v = np.zeros((rows + 2 * half, cols), dtype=bool)
+    pad_a[half:half + rows] = np.where(v, a, 0.0)
+    pad_v[half:half + rows] = v
 
     pattern = np.zeros((rows, cols), dtype=np.int64)
     for i in range(window):
-        pattern |= ok[i].astype(np.int64) << i
+        pattern |= pad_v[i:i + rows].astype(np.int64) << i
+    pattern[~v] = 0
 
-    out = a.copy()
-    r_all, c_all = np.nonzero(v)
-    pat = pattern[r_all, c_all]
-    for p in np.unique(pat):
-        members = np.nonzero(pat == p)[0]
-        rs, cs = r_all[members], c_all[members]
+    # one coefficient per offset and validity pattern present; absent
+    # offsets get 0, and pattern 0 (invalid) and lone samples pass through
+    patterns, which = np.unique(pattern.ravel(), return_inverse=True)
+    which = which.reshape(rows, cols)
+    table = np.zeros((window, patterns.size), dtype=np.float64)
+    fitted = np.zeros(patterns.size, dtype=bool)
+    for k, p in enumerate(patterns.tolist()):
         pos = [i for i in range(window) if (p >> i) & 1]
         n = len(pos)
         if n < 2:
-            continue  # lone sample: pass through
+            continue
         x = offsets[pos].astype(np.float64)
         deg = min(order, n - 1)
         vander = np.vander(x, deg + 1, increasing=True)
         # value of the LSQ fit at the window center = first row of pinv
-        coeff = np.linalg.pinv(vander)[0]
-        acc = np.zeros(members.size, dtype=np.float64)
-        for c_k, i in zip(coeff, pos):
-            acc += c_k * vals[i, rs, cs]
-        out[rs, cs] = acc
+        table[pos, k] = np.linalg.pinv(vander)[0]
+        fitted[k] = True
 
+    # ascending offsets, absent ones adding 0 * 0: each pixel's float sum
+    # runs in the order of its own present samples
+    acc = np.zeros((rows, cols), dtype=np.float64)
+    for i in range(window):
+        acc += table[i][which] * pad_a[i:i + rows]
+    out = np.where(fitted[which], acc, a)
     return AngleImage(angle=out, valid=v.copy())
 
 
@@ -139,39 +137,45 @@ def bfs_ground_label(angles: AngleImage, seed_threshold: float,
     """Grow ground labels from low-angle seeds on each column's lowest return.
 
     Seeds are the bottom-most valid pixels with angle below seed_threshold.
-    The search expands across 4-connected valid pixels whenever the angle
-    step is below propagation_threshold and the neighbor's angle stays under
-    seed_threshold + propagation_threshold. Returns the visited-pixel mask.
+    Labels spread across 4-connected valid pixels whenever the angle step is
+    below propagation_threshold and the neighbor's angle stays under
+    seed_threshold + propagation_threshold. Returns the mask of every pixel
+    a breadth-first search from the seeds would visit.
+
+    That set does not depend on visit order: it is the union of the
+    connected components holding a seed, in the graph whose nodes are the
+    valid pixels under the angle cap and whose edges join 4-neighbors with
+    an angle step below propagation_threshold. The graph is drawn on a
+    (2R-1) x (2C-1) lattice, nodes at even coordinates and the edges
+    between them at the odd ones, and labelled as an image.
     """
     if seed_threshold <= 0 or propagation_threshold <= 0:
         raise ValueError("thresholds must be positive")
     rows, cols = angles.shape
-    cap = seed_threshold + propagation_threshold
-    # plain lists: BFS is pointwise and list indexing beats ndarray scalars
-    ang = angles.angle.tolist()
-    val = angles.valid.tolist()
-    visited = [[False] * cols for _ in range(rows)]
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols), dtype=bool)
+    a = angles.angle
+    valid = angles.valid
+    node = valid & (a < seed_threshold + propagation_threshold)
 
-    queue = deque()
-    for c in range(cols):
-        for r in range(rows - 1, -1, -1):
-            if val[r][c]:
-                if ang[r][c] < seed_threshold:
-                    visited[r][c] = True
-                    queue.append((r, c))
-                break
+    lattice = np.zeros((2 * rows - 1, 2 * cols - 1), dtype=bool)
+    lattice[::2, ::2] = node
+    with np.errstate(invalid="ignore"):  # a step between infinities is no edge
+        lattice[1::2, ::2] = (node[:-1] & node[1:]
+                              & (np.abs(a[1:] - a[:-1]) < propagation_threshold))
+        lattice[::2, 1::2] = (node[:, :-1] & node[:, 1:]
+                              & (np.abs(a[:, 1:] - a[:, :-1]) < propagation_threshold))
+    labels, count = ndimage.label(lattice)
+    labels = labels[::2, ::2]
 
-    while queue:
-        r, c = queue.popleft()
-        a0 = ang[r][c]
-        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= rr < rows and 0 <= cc < cols and val[rr][cc] and not visited[rr][cc]:
-                a1 = ang[rr][cc]
-                if abs(a1 - a0) < propagation_threshold and a1 < cap:
-                    visited[rr][cc] = True
-                    queue.append((rr, cc))
-
-    return np.array(visited, dtype=bool)
+    # each column's lowest valid pixel seeds when its angle is low enough
+    seed_cols = np.flatnonzero(valid.any(axis=0))
+    seed_rows = rows - 1 - np.argmax(valid[::-1, seed_cols], axis=0)
+    seeded = a[seed_rows, seed_cols] < seed_threshold
+    # a seed is a node (its angle is under the cap), so label 0 never is kept
+    keep = np.zeros(count + 1, dtype=bool)
+    keep[labels[seed_rows[seeded], seed_cols[seeded]]] = True
+    return keep[labels]
 
 
 def depth_segment_image(image: RangeImage, cfg: DepthConfig) -> np.ndarray:

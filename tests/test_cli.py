@@ -168,6 +168,23 @@ def test_bad_config_key_exit_2(small_dataset, tmp_path):
     assert code == 2
 
 
+def test_bad_backend_in_config_exit_2(small_dataset, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[parallel]\nbackend = threads\n")
+    code = run_cli("segment", "--root", small_dataset, "--method", "depth", "--slices",
+                   "2", "--units", "2", "--config", cfg, "--out", tmp_path / "o")
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_parity_in_config_exit_2(ssl_file, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[ssl]\nparity = sideways\n")
+    code = run_cli("segment", "--ssl-file", ssl_file, "--method", "depth",
+                   "--config", cfg, "--out", tmp_path / "o")
+    assert code == 2
+
+
 def test_parity_flag_validated(ssl_file, tmp_path):
     code = run_cli("decode-ssl", "--ssl-file", ssl_file, "--parity", "even",
                    "--out", tmp_path / "o")

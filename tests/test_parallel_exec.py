@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ def test_slice_error_annotated(fast_cfg):
     frame = frame_from_cloud(cloud, "f")
     with pytest.raises(SliceError, match=r"slice \d"):
         run_sliced(frame, "ransac", 2, 1, fast_cfg)
+
+
+def test_slice_error_pickles_with_its_index():
+    err = pickle.loads(pickle.dumps(SliceError(3, ValueError("x"))))
+    assert isinstance(err, SliceError)
+    assert err.slice_index == 3 and str(err) == "slice 3: x"
+
+
+def test_slice_error_annotated_on_process_units(fast_cfg, process_pool):
+    fast_cfg.smrf.cell_size = -1
+    frame = frame_from_cloud(make_random_cloud(3, 600), "f")
+    with pytest.raises(SliceError, match=r"slice \d: cell_size must be positive"):
+        run_sliced(frame, "smrf", 2, 2, fast_cfg, executor=process_pool)
+
+
+def test_range_image_follows_projection_config(fast_cfg):
+    frame = frame_from_cloud(make_random_cloud(3, 600), "f")
+    wide = frame.range_image(fast_cfg)
+    assert (wide.rows, wide.cols) == (64, 1024)
+    assert frame.range_image(fast_cfg) is wide  # same config: cached
+    fast_cfg.projection.rows, fast_cfg.projection.cols = 32, 360
+    narrow = frame.range_image(fast_cfg)
+    assert (narrow.rows, narrow.cols) == (32, 360)
 
 
 def test_empty_slice_is_vacuous(fast_cfg):

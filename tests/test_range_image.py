@@ -71,6 +71,29 @@ def test_projection_matches_binning_oracle(rng):
         assert got[key][0] == pytest.approx(rng_o)
 
 
+def test_projection_collisions_match_binning_oracle(rng):
+    quad, pair, single = rng.normal(scale=15.0, size=(3, 60, 3))
+    for p in (quad, pair, single):
+        p[:, 2] = rng.uniform(-6.0, 1.0, 60)
+    # rays of four points (a farther one and two equally near ones, a range
+    # tie for the winner), rays of two, and single points; shuffled so the
+    # winners sit at any index
+    xyz = np.concatenate([quad, quad * 1.5, quad * 0.75, quad * 0.75,
+                          pair, pair * 1.25, single])
+    xyz = xyz[rng.permutation(len(xyz))]
+    cloud = cloud_of(xyz)
+    rows, cols = 16, 90
+    image = project_spherical(cloud, rows, cols, V_SPAN)
+    oracle = binning_oracle(cloud, rows, cols, V_SPAN)
+    filled = image.point_index != EMPTY
+    assert filled.sum() == len(oracle) < len(xyz) - image.n_out_of_span
+    got = {(r, c): (image.range_m[r, c], image.point_index[r, c])
+           for r, c in zip(*np.nonzero(filled))}
+    assert got == {key: (rng_o, idx_o) for key, (rng_o, idx_o) in oracle.items()}
+    np.testing.assert_array_equal(image.xyz[filled], xyz[image.point_index[filled]])
+    assert not image.xyz[~filled].any() and not image.range_m[~filled].any()
+
+
 def test_projection_deterministic(rng):
     xyz = rng.normal(scale=10.0, size=(500, 3))
     cloud = cloud_of(xyz)

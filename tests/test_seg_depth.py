@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -150,6 +151,30 @@ def direct_lsq_oracle(values, valid, window, order):
     return out
 
 
+def test_sg_bit_identical_to_per_pixel_sum(rng):
+    """Same coefficients, products and summation order as a per-pixel loop."""
+    rows, cols = 30, 7
+    valid = rng.uniform(size=(rows, cols)) < 0.7
+    angle = np.where(valid, rng.uniform(0.0, 1.5, (rows, cols)), np.nan)
+    img = AngleImage(angle=angle, valid=valid)
+    for window, order in ((5, 2), (7, 3), (9, 2)):
+        half = window // 2
+        want = angle.copy()
+        for r, c in zip(*np.nonzero(valid)):
+            pos = [off for off in range(-half, half + 1)
+                   if 0 <= r + off < rows and valid[r + off, c]]
+            if len(pos) < 2:
+                continue
+            deg = min(order, len(pos) - 1)
+            vander = np.vander(np.asarray(pos, float), deg + 1, increasing=True)
+            acc = 0.0
+            for c_k, off in zip(np.linalg.pinv(vander)[0], pos):
+                acc += c_k * angle[r + off, c]
+            want[r, c] = acc
+        got = savitzky_golay_smooth(img, window, order).angle
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_sg_constant_column_unchanged():
     img = column_image([0.1] * 5)
     sm = savitzky_golay_smooth(img, 5, 2)
@@ -209,6 +234,58 @@ def test_sg_invalid_parameters():
 # ---------------------------------------------------------------------------
 # BFS labeling
 # ---------------------------------------------------------------------------
+
+def bfs_oracle(angles, seed_threshold, propagation_threshold):
+    """Breadth-first search from the seeds, one pixel at a time."""
+    rows, cols = angles.shape
+    cap = seed_threshold + propagation_threshold
+    ang = angles.angle.tolist()
+    val = angles.valid.tolist()
+    visited = [[False] * cols for _ in range(rows)]
+
+    queue = deque()
+    for c in range(cols):
+        for r in range(rows - 1, -1, -1):
+            if val[r][c]:
+                if ang[r][c] < seed_threshold:
+                    visited[r][c] = True
+                    queue.append((r, c))
+                break
+
+    while queue:
+        r, c = queue.popleft()
+        a0 = ang[r][c]
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= rr < rows and 0 <= cc < cols and val[rr][cc] and not visited[rr][cc]:
+                a1 = ang[rr][cc]
+                if abs(a1 - a0) < propagation_threshold and a1 < cap:
+                    visited[rr][cc] = True
+                    queue.append((rr, cc))
+
+    return np.array(visited, dtype=bool).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 20), cols=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       valid_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       nonfinite_share=st.sampled_from([0.0, 0.1]), on_grid=st.booleans())
+def test_labelling_matches_bfs_oracle(rows, cols, seed, valid_share, nonfinite_share,
+                                      on_grid):
+    r = np.random.default_rng(seed)
+    valid = r.uniform(size=(rows, cols)) < valid_share
+    if on_grid:
+        # binary fractions hit angle steps and caps exactly at the thresholds
+        seed_t, prop_t = 0.25, 0.125
+        angle = r.integers(0, 12, (rows, cols)) * 0.0625
+    else:
+        seed_t, prop_t = math.radians(r.uniform(1, 15)), math.radians(r.uniform(1, 15))
+        angle = r.uniform(0, math.radians(45), (rows, cols))
+    odd = r.uniform(size=(rows, cols)) < nonfinite_share
+    angle[odd] = r.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
+    img = AngleImage(angle=angle, valid=valid)
+    got = bfs_ground_label(img, seed_t, prop_t)
+    assert got.shape == (rows, cols) and got.dtype == bool
+    np.testing.assert_array_equal(got, bfs_oracle(img, seed_t, prop_t))
 
 def test_bfs_all_zero_labels_every_valid_pixel():
     img = AngleImage(angle=np.zeros((10, 12)), valid=np.ones((10, 12), dtype=bool))
