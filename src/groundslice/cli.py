@@ -8,6 +8,7 @@ is reproducible from the manifest plus inputs alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -17,9 +18,9 @@ from . import ssl_frame as sslmod
 from .config import PARITIES, RunConfig, default_config, dump_config, load_config
 from .kitti_io import GROUND_CLASS_PRESETS, load_frame, list_sequence, load_velodyne_bin
 from .metrics import aggregate, confusion, f1, iou, write_frame_csv, write_summary_csv
-from .parallel_exec import (METHODS, SliceExecutor, frame_from_cloud,
-                            frame_from_ssl, run_sliced, time_baseline,
-                            write_bench_csv)
+from .parallel_exec import (METHODS, BenchmarkRecord, SliceExecutor,
+                            frame_from_cloud, frame_from_ssl, run_sliced,
+                            time_baseline, write_bench_csv)
 from .range_image import from_ssl_frame
 
 
@@ -30,22 +31,25 @@ class UsageError(Exception):
 def _parse_frames(text: str | None):
     if text is None:
         return None
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return (int(a), int(b))
-    v = int(text)
-    return (v, v)
+    a, sep, b = text.partition("..")
+    try:
+        return (int(a), int(b if sep else a))
+    except ValueError:
+        raise UsageError(f"bad frame interval {text!r}, expected a..b or a") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            a, b = part.split("..", 1)
-            out.extend(range(int(a), int(b) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                a, b = part.split("..", 1)
+                out.extend(range(int(a), int(b) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:
+        raise UsageError(f"bad integer list {text!r}, expected e.g. 1..5 or 1,3") from None
     if not out:
         raise UsageError(f"empty integer list: {text!r}")
     return out
@@ -63,11 +67,11 @@ def _load_cfg(args) -> RunConfig:
     return default_config()
 
 
-def _ground_classes(cfg: RunConfig):
-    preset = cfg.dataset.ground_classes
-    if preset not in GROUND_CLASS_PRESETS:
-        raise UsageError(f"unknown ground class preset {preset!r}")
-    return GROUND_CLASS_PRESETS[preset]
+def _executor(units: int, cfg: RunConfig):
+    """A pool of `units` processing units; P = 1 runs inline without one."""
+    if units > 1:
+        return SliceExecutor(units, cfg.parallel.backend)
+    return contextlib.nullcontext()
 
 
 def _iter_kitti_frames(args, cfg: RunConfig, with_labels: bool):
@@ -80,7 +84,7 @@ def _iter_kitti_frames(args, cfg: RunConfig, with_labels: bool):
         raise UsageError(str(exc)) from exc
     if not pairs:
         raise UsageError(f"no frames matched in sequence {args.sequence}")
-    classes = _ground_classes(cfg)
+    classes = GROUND_CLASS_PRESETS[cfg.dataset.ground_classes]
     for scan_path, label_path in pairs:
         if with_labels:
             cloud, truth, dropped = load_frame(scan_path, label_path, classes)
@@ -147,17 +151,13 @@ def cmd_segment(args) -> int:
               f"root={args.root} sequence={args.sequence} frames={args.frames}")
     manifest = [f"# groundslice segment method={args.method} slices={k} units={p} "
                 f"seed={args.seed} {source}", ""]
-    executor = SliceExecutor(p, cfg.parallel.backend) if p > 1 else None
-    try:
+    with _executor(p, cfg) as executor:
         for frame, to_records in jobs:
             mask, record = run_sliced(frame, args.method, k, p, cfg,
                                       seed=args.seed, executor=executor)
             (out_dir / f"{frame.frame_id}.mask").write_bytes(to_records(mask).tobytes())
             manifest.append(f"# frame {frame.frame_id}: {int(mask.sum())} ground, "
                             f"{record.wall_ms:.3f} ms")
-    finally:
-        if executor is not None:
-            executor.close()
     manifest.append("")
     manifest.append(dump_config(cfg))
     (out_dir / "manifest.txt").write_text("\n".join(manifest))
@@ -172,6 +172,8 @@ def cmd_eval(args) -> int:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
     slice_counts = _parse_int_list(args.slices)
+    if min(slice_counts) < 1:
+        raise UsageError("--slices counts must be >= 1")
     if args.units < 1:
         raise UsageError("--units must be >= 1")
     if not args.root:
@@ -182,11 +184,9 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    executor = (SliceExecutor(args.units, cfg.parallel.backend)
-                if args.units > 1 else None)
     frame_rows = []
     summary_rows = []
-    try:
+    with _executor(args.units, cfg) as executor:
         for method in methods:
             for k in slice_counts:
                 iou_values, f1_values = [], []
@@ -201,16 +201,13 @@ def cmd_eval(args) -> int:
                     f1_values.append(f1(stats))
                     frame_rows.append((method, k, frame.frame_id,
                                        iou_values[-1], f1_values[-1]))
-                summary_rows.append((method, k, aggregate(iou_values),
-                                     aggregate(f1_values)))
-                line = (f"{method} K={k}: mean IoU {summary_rows[-1][2].mean:.4f} "
-                        f"± {summary_rows[-1][2].std:.4f}")
+                mean_iou, mean_f1 = aggregate(iou_values), aggregate(f1_values)
+                summary_rows.append((method, k, mean_iou, mean_f1))
+                line = (f"{method} K={k}: mean IoU {mean_iou.mean:.4f} ± {mean_iou.std:.4f}, "
+                        f"F1 {mean_f1.mean:.4f} ± {mean_f1.std:.4f}")
                 if empty_ground:
                     line += f"  ({empty_ground} empty-ground frames scored 1.0)"
                 print(line)
-    finally:
-        if executor is not None:
-            executor.close()
     write_frame_csv(frame_rows, out_dir / "eval_frames.csv")
     write_summary_csv(summary_rows, out_dir / "eval_summary.csv")
     return 0
@@ -240,27 +237,17 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    repeats = cfg.parallel.bench_repeats
+    timing = dict(seed=args.seed, repeats=cfg.parallel.bench_repeats,
+                  warmup=cfg.parallel.bench_warmup)
     for frame in frames:
-        baseline = time_baseline(frame, args.method, cfg, seed=args.seed,
-                                 repeats=repeats, warmup=cfg.parallel.bench_warmup)
+        baseline = time_baseline(frame, args.method, cfg, **timing)
         for p in unit_set:
-            executor = SliceExecutor(p, cfg.parallel.backend) if p > 1 else None
-            try:
-                for _ in range(cfg.parallel.bench_warmup):
-                    run_sliced(frame, args.method, k, p, cfg, seed=args.seed,
-                               executor=executor)
-                times = []
-                for _ in range(repeats):
-                    _, rec = run_sliced(frame, args.method, k, p, cfg,
-                                        seed=args.seed, executor=executor)
-                    times.append(rec.wall_ms)
-            finally:
-                if executor is not None:
-                    executor.close()
-            times.sort()
-            rec.wall_ms = times[len(times) // 2]
-            rec.speedup = baseline / rec.wall_ms
+            with _executor(p, cfg) as executor:
+                wall_ms = time_baseline(frame, args.method, cfg, **timing,
+                                        k=k, p=p, executor=executor)
+            rec = BenchmarkRecord(method=args.method, slices=k, units=p,
+                                  frame=frame.frame_id, wall_ms=wall_ms,
+                                  speedup=baseline / wall_ms)
             records.append(rec)
             print(f"{frame.frame_id} K={k} P={p}: {rec.wall_ms:.3f} ms "
                   f"(speedup {rec.speedup:.2f}x)")

@@ -12,8 +12,10 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
+from .kitti_io import GROUND_CLASS_PRESETS
 
-BACKENDS = ("process", "thread", "serial")  # parallel.backend
+
+BACKENDS = ("process", "serial")  # parallel.backend
 PARITIES = ("even", "odd")  # ssl.parity
 
 
@@ -91,9 +93,9 @@ class SslConfig:
 
 @dataclass
 class ParallelConfig:
-    """Slice execution options."""
+    """Slice execution options, and the warm-up and repeat counts of `bench`."""
 
-    backend: str = "process"  # "process", "thread" or "serial"
+    backend: str = "process"  # "process" (spawned workers) or "serial" (inline)
     bench_repeats: int = 11
     bench_warmup: int = 3
 
@@ -145,8 +147,9 @@ def save_config(cfg: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     """Load a config file, overlaying values onto the defaults.
 
-    Unknown sections or keys, and enum values outside their choices, are
-    rejected so typos do not silently fall back to defaults or fail mid-run.
+    Unknown sections or keys, enum values outside their choices and bench
+    counts out of range are rejected so typos do not silently fall back to
+    defaults or fail mid-run.
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -163,9 +166,15 @@ def load_config(path) -> RunConfig:
             current = getattr(sub, key)
             setattr(sub, key, _parse_value(raw, type(current)))
     for key, value, allowed in (("parallel.backend", cfg.parallel.backend, BACKENDS),
-                                ("ssl.parity", cfg.ssl.parity, PARITIES)):
+                                ("ssl.parity", cfg.ssl.parity, PARITIES),
+                                ("dataset.ground_classes", cfg.dataset.ground_classes,
+                                 GROUND_CLASS_PRESETS)):
         if value not in allowed:
             raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+    for key, value, low in (("parallel.bench_repeats", cfg.parallel.bench_repeats, 1),
+                            ("parallel.bench_warmup", cfg.parallel.bench_warmup, 0)):
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
     return cfg
 
 

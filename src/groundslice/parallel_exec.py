@@ -14,7 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,27 +109,20 @@ class SliceError(RuntimeError):
 
 
 def _segment_slice(task) -> np.ndarray:
-    kind, slice_index, payload = task
+    # a task names its method instead of holding a function: the segmenters
+    # are looked up as module globals here, where a tracer may have swapped
+    # them for closures, and a closure in a task would not pickle
+    method, slice_index, data, method_cfg, seed = task
     try:
-        if kind == "depth":
-            view, depth_cfg = payload
-            return depth_segment_image(view, depth_cfg)
-        if kind == "ransac":
-            xyz, ransac_cfg, seed = payload
-            if xyz.shape[0] == 0:
-                return np.zeros(0, dtype=bool)
-            cloud = PointCloud(xyz=xyz, intensity=np.zeros(xyz.shape[0]))
-            return ransac_ground(cloud, ransac_cfg.iterations, ransac_cfg.dist_threshold,
-                                 ransac_cfg.max_normal_tilt, seed)
-        if kind == "smrf":
-            xyz, smrf_cfg = payload
-            if xyz.shape[0] == 0:
-                return np.zeros(0, dtype=bool)
-            cloud = PointCloud(xyz=xyz, intensity=np.zeros(xyz.shape[0]))
-            return smrf_segment(cloud, smrf_cfg)
-        raise ValueError(f"unknown method kind {kind!r}")
-    except SliceError:
-        raise
+        if method == "depth":
+            return depth_segment_image(data, method_cfg)
+        if data.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
+        cloud = PointCloud(xyz=data, intensity=np.zeros(data.shape[0]))
+        if method == "ransac":
+            return ransac_ground(cloud, method_cfg.iterations, method_cfg.dist_threshold,
+                                 method_cfg.max_normal_tilt, seed)
+        return smrf_segment(cloud, method_cfg)
     except Exception as exc:
         raise SliceError(slice_index, exc) from exc
 
@@ -148,7 +141,7 @@ class SliceExecutor:
 
     backend "process" gives real parallelism (spawned workers, warmed up at
     construction so pool startup never lands inside a timed region);
-    "thread" shares the interpreter; "serial" runs inline.
+    "serial" runs every unit inline, one after another.
     """
 
     def __init__(self, units: int, backend: str = "process"):
@@ -162,8 +155,6 @@ class SliceExecutor:
             # force workers to exist before any timing happens
             for fut in [self._pool.submit(_noop) for _ in range(units)]:
                 fut.result()
-        elif backend == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=units)
         else:
             self._pool = None
 
@@ -199,10 +190,8 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     allocation = allocate(k, p)
 
-    if method == "depth":
-        image = frame.range_image(cfg)  # cached; outside the timed region
-    else:
-        image = None
+    # cached; outside the timed region
+    image = frame.range_image(cfg) if method == "depth" else None
 
     own_executor = None
     if p > 1 and executor is None:
@@ -210,22 +199,17 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
     try:
         t0 = time.perf_counter()
         if method == "depth":
-            spec, views = slice_columns(image, k)
-            tasks = [("depth", s, (views[s], cfg.depth)) for s in range(k)]
-            results = _dispatch(tasks, allocation, p, executor)
+            spec, data = slice_columns(image, k)
+        else:
+            slice_idx = partition_azimuth(frame.cloud, k)
+            data = [frame.cloud.xyz[idx] for idx in slice_idx]
+        method_cfg = getattr(cfg, method)
+        tasks = [(method, s, data[s], method_cfg, seed ^ s) for s in range(k)]
+        results = _dispatch(tasks, allocation, p, executor)
+        if method == "depth":
             mask = merge_masks([results[s] for s in range(k)], image, spec)
         else:
-            cloud = frame.cloud
-            slice_idx = partition_azimuth(cloud, k)
-            tasks = []
-            for s in range(k):
-                xyz = cloud.xyz[slice_idx[s]]
-                if method == "ransac":
-                    tasks.append(("ransac", s, (xyz, cfg.ransac, seed ^ s)))
-                else:
-                    tasks.append(("smrf", s, (xyz, cfg.smrf)))
-            results = _dispatch(tasks, allocation, p, executor)
-            mask = np.zeros(len(cloud), dtype=bool)
+            mask = np.zeros(len(frame.cloud), dtype=bool)
             for s in range(k):
                 mask[slice_idx[s]] = results[s]
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -252,15 +236,19 @@ def _dispatch(tasks, allocation: PuAllocation, p: int,
 
 
 def time_baseline(frame: Frame, method: str, cfg: RunConfig, seed: int = 0,
-                  repeats: int = 11, warmup: int = 3) -> float:
-    """Median wall time (ms) of the unsliced single-unit run, post-warmup."""
+                  repeats: int = 11, warmup: int = 3, *, k: int = 1, p: int = 1,
+                  executor: SliceExecutor | None = None) -> float:
+    """Median wall time (ms) of the K-slice, P-unit run, post-warmup.
+
+    The defaults time the unsliced single-unit baseline.
+    """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     for _ in range(warmup):
-        run_sliced(frame, method, 1, 1, cfg, seed=seed)
+        run_sliced(frame, method, k, p, cfg, seed=seed, executor=executor)
     times = []
     for _ in range(repeats):
-        _, record = run_sliced(frame, method, 1, 1, cfg, seed=seed)
+        _, record = run_sliced(frame, method, k, p, cfg, seed=seed, executor=executor)
         times.append(record.wall_ms)
     return statistics.median(times)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RansacConfig
 from .kitti_io import PointCloud
 
 _DEGENERATE_EPS = 1e-12
@@ -95,7 +94,3 @@ def ransac_ground(cloud: PointCloud, iterations: int, dist_threshold: float,
             best_mask = mask
     return best_mask
 
-
-def ransac_segment(cloud: PointCloud, cfg: RansacConfig, rng_seed: int = 0) -> np.ndarray:
-    return ransac_ground(cloud, cfg.iterations, cfg.dist_threshold,
-                         cfg.max_normal_tilt, rng_seed)

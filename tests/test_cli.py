@@ -168,9 +168,10 @@ def test_bad_config_key_exit_2(small_dataset, tmp_path):
     assert code == 2
 
 
-def test_bad_backend_in_config_exit_2(small_dataset, tmp_path):
+@pytest.mark.parametrize("backend", ["threads", "thread"])
+def test_bad_backend_in_config_exit_2(backend, small_dataset, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[parallel]\nbackend = threads\n")
+    cfg.write_text(f"[parallel]\nbackend = {backend}\n")
     code = run_cli("segment", "--root", small_dataset, "--method", "depth", "--slices",
                    "2", "--units", "2", "--config", cfg, "--out", tmp_path / "o")
     assert code == 2
@@ -183,6 +184,32 @@ def test_bad_parity_in_config_exit_2(ssl_file, tmp_path):
     code = run_cli("segment", "--ssl-file", ssl_file, "--method", "depth",
                    "--config", cfg, "--out", tmp_path / "o")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[dataset]\nground_classes = bogus\n",
+    "[parallel]\nbench_repeats = 0\n",
+    "[parallel]\nbench_warmup = -1\n",
+], ids=["ground_classes", "bench_repeats", "bench_warmup"])
+def test_bad_config_value_exit_2(text, ssl_file, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = run_cli("segment", "--ssl-file", ssl_file, "--method", "depth",
+                   "--config", cfg, "--out", tmp_path / "o")
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--frames", "x"),
+    ("eval", "--slices", "1,a"),
+    ("eval", "--slices", "0"),
+    ("bench", "--method", "depth", "--units-set", "x"),
+], ids=["frames", "slices_list", "slices_zero", "units_set"])
+def test_bad_numbers_exit_2(argv, small_dataset, tmp_path):
+    code = run_cli(*argv, "--root", small_dataset, "--out", tmp_path / "o")
+    assert code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_parity_flag_validated(ssl_file, tmp_path):

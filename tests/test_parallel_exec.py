@@ -79,23 +79,13 @@ def test_all_unit_counts_bit_identical(method, fast_cfg, process_pool):
         assert rec.units == p
 
 
-def test_thread_backend_identical(fast_cfg):
-    cloud = make_random_cloud(13, 1800)
-    frame = frame_from_cloud(cloud, "f")
-    ref, _ = run_sliced(frame, "depth", 4, 1, fast_cfg)
-    with SliceExecutor(4, "thread") as ex:
-        got, _ = run_sliced(frame, "depth", 4, 4, fast_cfg, executor=ex)
-    np.testing.assert_array_equal(got, ref)
-
-
-def test_ssl_frame_native_grid(fast_cfg):
+def test_ssl_frame_native_grid(fast_cfg, process_pool):
     raw = make_ssl_capture(seed=21)
     frame = frame_from_ssl(decode_ssl_frame(raw, "even"), "ssl")
     fast_cfg.depth.sensor_height = 1.0
     ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
     assert ref.size == int(raw.valid.sum())
-    with SliceExecutor(5, "thread") as ex:
-        got, _ = run_sliced(frame, "depth", 5, 5, fast_cfg, executor=ex)
+    got, _ = run_sliced(frame, "depth", 5, 5, fast_cfg, executor=process_pool)
     np.testing.assert_array_equal(got, ref)
     # native image slices align with the physical subframes
     image = frame.range_image(fast_cfg)
