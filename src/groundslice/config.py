@@ -147,9 +147,9 @@ def save_config(cfg: RunConfig, path) -> None:
 def load_config(path) -> RunConfig:
     """Load a config file, overlaying values onto the defaults.
 
-    Unknown sections or keys, enum values outside their choices and bench
-    counts out of range are rejected so typos do not silently fall back to
-    defaults or fail mid-run.
+    Unknown sections or keys, enum values outside their choices and numbers
+    out of range (NaN included) are rejected, so typos do not silently fall
+    back to defaults or fail mid-run.
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -171,10 +171,26 @@ def load_config(path) -> RunConfig:
                                  GROUND_CLASS_PRESETS)):
         if value not in allowed:
             raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
-    for key, value, low in (("parallel.bench_repeats", cfg.parallel.bench_repeats, 1),
-                            ("parallel.bench_warmup", cfg.parallel.bench_warmup, 0)):
-        if value < low:
-            raise ValueError(f"{key} must be >= {low}, got {value}")
+    for key, value, low, closed in (
+            ("projection.rows", cfg.projection.rows, 1, True),
+            ("projection.cols", cfg.projection.cols, 1, True),
+            ("smrf.cell_size", cfg.smrf.cell_size, 0, False),
+            ("smrf.max_window_radius", cfg.smrf.max_window_radius, 1, True),
+            ("smrf.slope", cfg.smrf.slope, 0, True),
+            ("smrf.elevation_threshold", cfg.smrf.elevation_threshold, 0, True),
+            ("smrf.elevation_scale", cfg.smrf.elevation_scale, 0, True),
+            ("ransac.iterations", cfg.ransac.iterations, 1, True),
+            ("ransac.dist_threshold", cfg.ransac.dist_threshold, 0, False),
+            ("parallel.bench_repeats", cfg.parallel.bench_repeats, 1, True),
+            ("parallel.bench_warmup", cfg.parallel.bench_warmup, 0, True)):
+        if not (value >= low if closed else value > low):  # NaN fails too
+            raise ValueError(f"{key} must be {'>=' if closed else '>'} {low}, got {value}")
+    window, order = cfg.depth.smoothing_window, cfg.depth.smoothing_order
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"depth.smoothing_window must be an odd integer >= 3, got {window}")
+    if not 1 <= order < window:
+        raise ValueError("depth.smoothing_order must satisfy 1 <= order < smoothing_window,"
+                         f" got {order}")
     return cfg
 
 

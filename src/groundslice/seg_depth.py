@@ -10,6 +10,7 @@ so slices can run on concurrent workers untouched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,6 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
     v = angles.valid
     rows, cols = a.shape
     half = window // 2
-    offsets = np.arange(-half, half + 1)
 
     # window offset i of pixel (r, c) sits at (r + i, c) of the padded
     # copies; padding and invalid pixels read as 0 with validity off
@@ -112,16 +112,10 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
     table = np.zeros((window, patterns.size), dtype=np.float64)
     fitted = np.zeros(patterns.size, dtype=bool)
     for k, p in enumerate(patterns.tolist()):
-        pos = [i for i in range(window) if (p >> i) & 1]
-        n = len(pos)
-        if n < 2:
-            continue
-        x = offsets[pos].astype(np.float64)
-        deg = min(order, n - 1)
-        vander = np.vander(x, deg + 1, increasing=True)
-        # value of the LSQ fit at the window center = first row of pinv
-        table[pos, k] = np.linalg.pinv(vander)[0]
-        fitted[k] = True
+        row = _sg_center_row(p, window, order)
+        if row is not None:
+            table[:, k] = row
+            fitted[k] = True
 
     # ascending offsets, absent ones adding 0 * 0: each pixel's float sum
     # runs in the order of its own present samples
@@ -130,6 +124,28 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
         acc += table[i][which] * pad_a[i:i + rows]
     out = np.where(fitted[which], acc, a)
     return AngleImage(angle=out, valid=v.copy())
+
+
+@functools.lru_cache(maxsize=4096)
+def _sg_center_row(pattern: int, window: int, order: int):
+    """Weights giving the LSQ fit's value at the window center, or None.
+
+    Bit i of pattern marks offset i - window // 2 as a valid sample; absent
+    offsets weigh 0. None when fewer than 2 samples are present. The cache
+    is bounded; a window of w has at most 2**w patterns, 32 at w = 5.
+    """
+    pos = [i for i in range(window) if (pattern >> i) & 1]
+    n = len(pos)
+    if n < 2:
+        return None
+    x = np.array(pos, dtype=np.float64) - window // 2
+    deg = min(order, n - 1)
+    vander = np.vander(x, deg + 1, increasing=True)
+    # value of the LSQ fit at the window center = first row of pinv
+    row = np.zeros(window, dtype=np.float64)
+    row[pos] = np.linalg.pinv(vander)[0]
+    row.setflags(write=False)
+    return row
 
 
 def bfs_ground_label(angles: AngleImage, seed_threshold: float,

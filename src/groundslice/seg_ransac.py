@@ -25,7 +25,9 @@ class PlaneModel:
     d: float
 
     def distances(self, xyz: np.ndarray) -> np.ndarray:
-        return np.abs(xyz @ self.normal + self.d)
+        dist = xyz @ self.normal
+        dist += self.d
+        return np.abs(dist, out=dist)
 
     def tilt(self) -> float:
         """Angle between the normal and the +z axis, radians."""
@@ -36,12 +38,15 @@ def fit_plane_3pts(p1, p2, p3) -> PlaneModel:
     """Plane through three points, canonically oriented.
 
     Raises on collinear or coincident triples (cross-product norm below
-    1e-12).
+    1e-12). The cross product is written out on scalars, in the products
+    and order `np.cross` uses, so it is the same to the bit.
     """
     p1 = np.asarray(p1, dtype=np.float64)
     p2 = np.asarray(p2, dtype=np.float64)
     p3 = np.asarray(p3, dtype=np.float64)
-    normal = np.cross(p2 - p1, p3 - p1)
+    ax, ay, az = (p2 - p1).tolist()
+    bx, by, bz = (p3 - p1).tolist()
+    normal = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
     norm = np.linalg.norm(normal)
     if norm <= _DEGENERATE_EPS:
         raise ValueError("degenerate triple: points are collinear or coincident")
@@ -57,7 +62,7 @@ def count_inliers(cloud: PointCloud, plane: PlaneModel,
     if dist_threshold <= 0:
         raise ValueError("dist_threshold must be positive")
     mask = plane.distances(cloud.xyz) <= dist_threshold
-    return int(mask.sum()), mask
+    return int(np.count_nonzero(mask)), mask
 
 
 def ransac_ground(cloud: PointCloud, iterations: int, dist_threshold: float,

@@ -4,15 +4,20 @@ The cloud is rasterized into a minimum-elevation grid, openings with a
 linearly growing disk window peel off protrusions whose height exceeds a
 slope-scaled threshold, and points are classified against the resulting
 bare-earth surface.
+
+Both grid stages are exact and linear in memory. Empty cells are inpainted
+from the Euclidean distance transform and the lattice ring at the nearest
+distance (lowest z wins a tie), with no k-d tree. The disk opening walks
+the disk's column strips, widening one vertical running min/max in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
-from scipy.spatial import cKDTree
+from scipy.ndimage import distance_transform_edt
 
 from .config import SmrfConfig
 from .kitti_io import PointCloud
@@ -53,7 +58,8 @@ def rasterize_min_surface(cloud: PointCloud, cell_size: float) -> SmrfGrid:
     """Bucket points into cells keeping the minimum z, then inpaint gaps.
 
     Empty cells take the elevation of the nearest occupied cell by Euclidean
-    cell-center distance; exact ties resolve to the smaller elevation.
+    cell-center distance; exact ties resolve to the smaller elevation (see
+    _inpaint_nearest).
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
@@ -81,81 +87,109 @@ def rasterize_min_surface(cloud: PointCloud, cell_size: float) -> SmrfGrid:
 
 
 def _inpaint_nearest(elevation: np.ndarray, occupied: np.ndarray) -> None:
-    """Fill unoccupied cells from the nearest occupied one, ties to lower z."""
+    """Fill unoccupied cells from the nearest occupied one, ties to lower z.
+
+    The exact Euclidean distance transform gives each empty cell the squared
+    lattice distance D of its nearest occupied cell. The fill is the minimum
+    z over the occupied cells on that cell's ring: the lattice offsets with
+    dy^2 + dx^2 = D, built once per distinct D present. The rings are read
+    one offset rank at a time over all cells, so memory stays linear in the
+    grid cells however far the fill reaches.
+    """
     if occupied.all():
         return
-    occ_coords = np.argwhere(occupied)
-    empty_coords = np.argwhere(~occupied)
-    occ_elev = elevation[occ_coords[:, 0], occ_coords[:, 1]]
-    tree = cKDTree(occ_coords)
-    k = min(len(occ_coords), 9)
-    dist, idx = tree.query(empty_coords, k=k)
-    dist = np.atleast_2d(dist.reshape(len(empty_coords), -1))
-    idx = np.atleast_2d(idx.reshape(len(empty_coords), -1))
-    # lattice offsets make squared distances integers, so ties are exact
-    d2 = np.rint(dist * dist).astype(np.int64)
-    best = d2[:, :1]
-    cand = np.where(d2 == best, occ_elev[idx], np.inf)
-    fill = cand.min(axis=1)
+    ny, nx = occupied.shape
+    empty = ~occupied
+    nearest = distance_transform_edt(empty, return_distances=False,
+                                     return_indices=True)
+    ey, ex = np.nonzero(empty)
+    d2 = (nearest[0][ey, ex] - ey) ** 2 + (nearest[1][ey, ex] - ex) ** 2
+    del nearest
+    rings, ring_of = np.unique(d2, return_inverse=True)
+    start, dy, dx = _ring_offsets(rings, ny, nx)
 
-    # if every returned neighbor ties, closer-tied cells may exist beyond k
-    unresolved = (d2 == best).all(axis=1) & (k < len(occ_coords))
-    for row in np.nonzero(unresolved)[0]:
-        cell = empty_coords[row]
-        delta = occ_coords - cell
-        all_d2 = (delta * delta).sum(axis=1)
-        m = all_d2.min()
-        fill[row] = occ_elev[all_d2 == m].min()
+    # z read by flat index from a copy padded with inf as wide as the
+    # longest offset, so an offset off the grid needs no bounds check
+    py, px = int(dy.max()), int(dx.max())
+    source = np.full((ny + 2 * py, nx + 2 * px), np.inf)
+    source[py:py + ny, px:px + nx] = np.where(occupied, elevation, np.inf)
+    source = source.ravel()
+    step = nx + 2 * px
+    offset = dy * step + dx
 
-    elevation[empty_coords[:, 0], empty_coords[:, 1]] = fill
-
-
-def _disk_heights(radius: int) -> np.ndarray:
-    """Half-height of each column strip of the radius-`radius` disk."""
-    dx = np.arange(-radius, radius + 1)
-    return np.floor(np.sqrt(radius * radius - dx * dx)).astype(np.int64)
-
-
-def _shift_cols(arr: np.ndarray, dx: int, fill: float) -> np.ndarray:
-    """out[:, c] = arr[:, c + dx], out-of-range columns set to fill."""
-    out = np.full_like(arr, fill)
-    if dx == 0:
-        out[:] = arr
-    elif dx > 0:
-        out[:, :-dx] = arr[:, dx:]
-    else:
-        out[:, -dx:] = arr[:, :dx]
-    return out
+    # cells by descending ring size: those with a j-th offset are a prefix
+    size = np.diff(start)[ring_of]
+    order = np.argsort(-size, kind="stable")
+    ey, ex = ey[order], ex[order]
+    cell = (ey + py) * step + ex + px
+    first = start[ring_of[order]]
+    beyond = ey.size - np.cumsum(np.bincount(size))  # cells with size > j
+    fill = np.full(ey.size, np.inf)
+    for j, m in enumerate(beyond[:-1].tolist()):
+        np.minimum(fill[:m], source[cell[:m] + offset[first[:m] + j]],
+                   out=fill[:m])
+    elevation[ey, ex] = fill
 
 
-def _erode(surface: np.ndarray, radius: int) -> np.ndarray:
-    """Grayscale erosion by a disk, neighborhoods clipped at the borders.
+def _ring_offsets(rings: np.ndarray, ny: int, nx: int):
+    """Lattice offsets on each ring dy^2 + dx^2 = rings[k] inside an ny x nx grid.
 
-    The disk is decomposed into column strips: a 1D running minimum per
-    strip height, then a minimum across shifted strips. Exactly equivalent
-    to the direct neighborhood minimum, but linear instead of quadratic in
-    the radius.
+    rings is sorted ascending. Returns (start, dy, dx): the offsets of ring k
+    are dy[start[k]:start[k+1]], dx[start[k]:start[k+1]]. The component
+    along the shorter grid side is enumerated and the other one is solved
+    for, so the work is (shorter side) x (number of rings).
     """
-    heights = _disk_heights(radius)
-    out = np.full_like(surface, np.inf)
-    cache: dict[int, np.ndarray] = {}
-    for dx, h in zip(range(-radius, radius + 1), heights):
-        if h not in cache:
-            cache[h] = minimum_filter1d(surface, size=2 * int(h) + 1, axis=0,
-                                        mode="nearest")
-        np.minimum(out, _shift_cols(cache[h], dx, np.inf), out=out)
-    return out
+    short, long = sorted((ny, nx))
+    ring_parts, a_parts, b_parts = [], [], []
+    for a in range(min(short, math.isqrt(int(rings[-1])) + 1)):
+        lo = int(np.searchsorted(rings, a * a))
+        rem = rings[lo:] - a * a
+        b = np.rint(np.sqrt(rem)).astype(np.int64)
+        hit = np.flatnonzero((b * b == rem) & (b < long))
+        ring_parts.append(hit + lo)
+        a_parts.append(np.full(hit.size, a, dtype=np.int64))
+        b_parts.append(b[hit])
+    ring = np.concatenate(ring_parts)
+    a = np.concatenate(a_parts)
+    b = np.concatenate(b_parts)
+    # the four sign choices, a zero component taken once
+    sa = np.array([1, -1, 1, -1])[:, None]
+    sb = np.array([1, 1, -1, -1])[:, None]
+    keep = ((sa > 0) | (a > 0)) & ((sb > 0) | (b > 0))
+    ring = np.broadcast_to(ring, keep.shape)[keep]
+    order = np.argsort(ring, kind="stable")
+    a = (sa * a)[keep][order]
+    b = (sb * b)[keep][order]
+    start = np.zeros(rings.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ring, minlength=rings.size), out=start[1:])
+    return (start, a, b) if ny <= nx else (start, b, a)
 
 
-def _dilate(surface: np.ndarray, radius: int) -> np.ndarray:
-    heights = _disk_heights(radius)
-    out = np.full_like(surface, -np.inf)
-    cache: dict[int, np.ndarray] = {}
-    for dx, h in zip(range(-radius, radius + 1), heights):
-        if h not in cache:
-            cache[h] = maximum_filter1d(surface, size=2 * int(h) + 1, axis=0,
-                                        mode="nearest")
-        np.maximum(out, _shift_cols(cache[h], dx, -np.inf), out=out)
+def _disk_filter(surface: np.ndarray, radius: int, op) -> np.ndarray:
+    """op (np.minimum or np.maximum) over the disk around each cell.
+
+    Neighborhoods are clipped at the borders. Column offsets are walked
+    from |dx| = radius down to 0; the disk's column strip at |dx| has
+    half-height floor(sqrt(radius^2 - dx^2)), which only grows on the way,
+    so one vertical running reduction is widened a row at a time and folded
+    into the output's shifted column slices in place. Exactly the direct
+    neighborhood reduction, with two grid-sized temporaries.
+    """
+    ny, nx = surface.shape
+    strip = surface.copy()
+    out = surface.copy()  # the center is in every disk
+    h = 0
+    for dx in range(radius, -1, -1):
+        while h < math.isqrt(radius * radius - dx * dx):
+            h += 1
+            if h < ny:
+                op(strip[h:], surface[:-h], out=strip[h:])
+                op(strip[:-h], surface[h:], out=strip[:-h])
+        if dx == 0:
+            op(out, strip, out=out)
+        elif dx < nx:
+            op(out[:, :-dx], strip[:, dx:], out=out[:, :-dx])
+            op(out[:, dx:], strip[:, :-dx], out=out[:, dx:])
     return out
 
 
@@ -163,7 +197,7 @@ def morphological_open(surface: np.ndarray, radius: int) -> np.ndarray:
     """Opening (erosion then dilation) with a disk of the given cell radius."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return _dilate(_erode(surface, radius), radius)
+    return _disk_filter(_disk_filter(surface, radius, np.minimum), radius, np.maximum)
 
 
 def progressive_open(grid: SmrfGrid, max_window_radius: int,

@@ -186,11 +186,32 @@ def test_bad_parity_in_config_exit_2(ssl_file, tmp_path):
     assert code == 2
 
 
+BAD_NUMBERS = {
+    "smrf_cell_size_zero": "[smrf]\ncell_size = 0\n",
+    "smrf_cell_size_nan": "[smrf]\ncell_size = nan\n",
+    "smrf_max_window_radius": "[smrf]\nmax_window_radius = 0\n",
+    "smrf_slope": "[smrf]\nslope = -0.1\n",
+    "smrf_slope_nan": "[smrf]\nslope = nan\n",
+    "smrf_elevation_threshold": "[smrf]\nelevation_threshold = -0.5\n",
+    "smrf_elevation_scale": "[smrf]\nelevation_scale = -1\n",
+    "ransac_iterations": "[ransac]\niterations = 0\n",
+    "ransac_dist_threshold_zero": "[ransac]\ndist_threshold = 0\n",
+    "ransac_dist_threshold_nan": "[ransac]\ndist_threshold = nan\n",
+    "projection_rows": "[projection]\nrows = 0\n",
+    "projection_cols": "[projection]\ncols = -4\n",
+    "depth_window_even": "[depth]\nsmoothing_window = 4\n",
+    "depth_window_small": "[depth]\nsmoothing_window = 1\nsmoothing_order = 1\n",
+    "depth_order_zero": "[depth]\nsmoothing_order = 0\n",
+    "depth_order_window": "[depth]\nsmoothing_window = 5\nsmoothing_order = 5\n",
+}
+
+
 @pytest.mark.parametrize("text", [
     "[dataset]\nground_classes = bogus\n",
     "[parallel]\nbench_repeats = 0\n",
     "[parallel]\nbench_warmup = -1\n",
-], ids=["ground_classes", "bench_repeats", "bench_warmup"])
+    *BAD_NUMBERS.values(),
+], ids=["ground_classes", "bench_repeats", "bench_warmup", *BAD_NUMBERS])
 def test_bad_config_value_exit_2(text, ssl_file, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

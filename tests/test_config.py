@@ -69,3 +69,20 @@ def test_dump_contains_every_section():
     for section in ("projection", "depth", "ransac", "smrf", "dataset",
                     "ssl", "parallel"):
         assert f"[{section}]" in text
+
+
+def test_numeric_bounds_are_inclusive_where_zero_is_meaningful(tmp_path):
+    path = tmp_path / "edge.cfg"
+    path.write_text("[smrf]\nmax_window_radius = 1\nslope = 0\nelevation_threshold = 0\n"
+                    "elevation_scale = 0\n[ransac]\niterations = 1\n"
+                    "[projection]\nrows = 1\ncols = 1\n"
+                    "[depth]\nsmoothing_window = 3\nsmoothing_order = 2\n")
+    cfg = load_config(path)
+    assert (cfg.smrf.slope, cfg.depth.smoothing_order) == (0.0, 2)
+
+
+def test_numeric_error_names_key_and_value(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[smrf]\ncell_size = -0.5\n")
+    with pytest.raises(ValueError, match=r"smrf\.cell_size must be > 0, got -0\.5"):
+        load_config(path)

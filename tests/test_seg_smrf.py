@@ -1,14 +1,24 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from scipy.spatial import cKDTree
 
+import groundslice
 from groundslice.config import SmrfConfig
 from groundslice.kitti_io import PointCloud
-from groundslice.seg_smrf import (SmrfGrid, classify_points, local_slope,
-                                  morphological_open, progressive_open,
-                                  rasterize_min_surface, smrf_segment)
+from groundslice.seg_smrf import (SmrfGrid, _inpaint_nearest, classify_points,
+                                  local_slope, morphological_open,
+                                  progressive_open, rasterize_min_surface,
+                                  smrf_segment)
 
 
 def cloud_of(xyz):
@@ -76,6 +86,111 @@ def test_inpainting_tie_takes_lower_elevation():
     assert grid.elevation[0, 3] == -1.0
 
 
+def inpaint_oracle(elevation, occupied):
+    """Reference fill by k-d tree query: each empty cell takes the z of the
+    nearest occupied cell by Euclidean cell distance, exact ties to the
+    lower z."""
+    if occupied.all():
+        return
+    occ_coords = np.argwhere(occupied)
+    empty_coords = np.argwhere(~occupied)
+    occ_elev = elevation[occ_coords[:, 0], occ_coords[:, 1]]
+    tree = cKDTree(occ_coords)
+    k = min(len(occ_coords), 9)
+    dist, idx = tree.query(empty_coords, k=k)
+    dist = np.atleast_2d(dist.reshape(len(empty_coords), -1))
+    idx = np.atleast_2d(idx.reshape(len(empty_coords), -1))
+    # lattice offsets make squared distances integers, so ties are exact
+    d2 = np.rint(dist * dist).astype(np.int64)
+    best = d2[:, :1]
+    cand = np.where(d2 == best, occ_elev[idx], np.inf)
+    fill = cand.min(axis=1)
+
+    # if every returned neighbor ties, closer-tied cells may exist beyond k
+    unresolved = (d2 == best).all(axis=1) & (k < len(occ_coords))
+    for row in np.nonzero(unresolved)[0]:
+        cell = empty_coords[row]
+        delta = occ_coords - cell
+        all_d2 = (delta * delta).sum(axis=1)
+        m = all_d2.min()
+        fill[row] = occ_elev[all_d2 == m].min()
+
+    elevation[empty_coords[:, 0], empty_coords[:, 1]] = fill
+
+
+def assert_fill_matches_oracle(elevation, occupied):
+    want = elevation.copy()
+    inpaint_oracle(want, occupied)
+    got = elevation.copy()
+    _inpaint_nearest(got, occupied)
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ny=st.integers(1, 30), nx=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["random", "sparse", "single", "full", "lattice"]))
+def test_inpainting_matches_kdtree_oracle(ny, nx, seed, layout):
+    r = np.random.default_rng(seed)
+    occupied = np.zeros((ny, nx), dtype=bool)
+    if layout == "random":
+        occupied = r.uniform(size=(ny, nx)) < r.uniform(0.05, 0.9)
+    elif layout == "sparse":
+        occupied = r.uniform(size=(ny, nx)) < 0.03
+    elif layout == "full":
+        occupied[:] = True
+    elif layout == "lattice":
+        # a regular lattice of occupied cells leaves many empty cells
+        # equidistant from several of them
+        step = int(r.integers(2, 7))
+        occupied[r.integers(step)::step, r.integers(step)::step] = True
+    if not occupied.any():
+        occupied[r.integers(ny), r.integers(nx)] = True
+    # distinct z, so a tie resolved the wrong way changes the fill
+    z = r.permutation(ny * nx).reshape(ny, nx) * 0.25 - 40.0
+    assert_fill_matches_oracle(np.where(occupied, z, np.inf), occupied)
+
+
+def test_inpainting_tie_on_a_pythagorean_ring():
+    # (0, 5) and (3, 4) from the empty cell (0, 0) both lie at squared
+    # distance 25; the lower z sits on the off-axis offset
+    occupied = np.zeros((6, 6), dtype=bool)
+    elevation = np.full((6, 6), np.inf)
+    occupied[0, 5], elevation[0, 5] = True, 1.0
+    occupied[3, 4], elevation[3, 4] = True, -2.0
+    assert_fill_matches_oracle(elevation, occupied)
+    _inpaint_nearest(elevation, occupied)
+    assert elevation[0, 0] == -2.0
+
+
+def test_far_outlier_fill_matches_oracle_in_linear_memory():
+    # a 20 m patch and one return 5 km away: a 40 x 10,000 grid at 0.5 m,
+    # where fills reach thousands of cells
+    r = np.random.default_rng(8)
+    patch = np.column_stack([r.uniform(0, 20, 400), r.uniform(0, 20, 400),
+                             r.uniform(-0.2, 0.2, 400)])
+    cloud = cloud_of(np.vstack([patch, [[5000.0, 10.0, 1.0]]]))
+    tracemalloc.start()
+    try:
+        grid = rasterize_min_surface(cloud, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (40, 10_000)
+    # a dense offset table over the fill distance would need ~4e8 entries
+    assert peak < 40 * grid.elevation.nbytes
+    want = np.where(grid.occupied, grid.elevation, np.inf)
+    inpaint_oracle(want, grid.occupied)
+    np.testing.assert_array_equal(grid.elevation, want)
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    src = str(Path(groundslice.__file__).resolve().parent.parent)
+    code = "import sys, groundslice.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_rasterize_rejects_bad_input():
     with pytest.raises(ValueError):
         rasterize_min_surface(cloud_of(np.empty((0, 3))), 1.0)
@@ -104,6 +219,85 @@ def open_oracle(surface, radius):
         return out
 
     return sweep(sweep(surface, min), max)
+
+
+def strip_open_oracle(surface, radius):
+    """Reference opening by column strips: a 1D running min/max per strip
+    height, then a min/max over column-shifted copies of the strips."""
+    dx = np.arange(-radius, radius + 1)
+    heights = np.floor(np.sqrt(radius * radius - dx * dx)).astype(np.int64)
+
+    def shift_cols(arr, dx, fill):
+        out = np.full_like(arr, fill)
+        if dx == 0:
+            out[:] = arr
+        elif dx > 0:
+            out[:, :-dx] = arr[:, dx:]
+        else:
+            out[:, -dx:] = arr[:, :dx]
+        return out
+
+    def sweep(arr, filter1d, op, fill):
+        out = np.full_like(arr, fill)
+        cache = {}
+        for dx, h in zip(range(-radius, radius + 1), heights):
+            if h not in cache:
+                cache[h] = filter1d(arr, size=2 * int(h) + 1, axis=0, mode="nearest")
+            op(out, shift_cols(cache[h], dx, fill), out=out)
+        return out
+
+    eroded = sweep(surface, minimum_filter1d, np.minimum, np.inf)
+    return sweep(eroded, maximum_filter1d, np.maximum, -np.inf)
+
+
+def progressive_oracle(grid, max_window_radius, slope, open_fn):
+    surface = grid.elevation.copy()
+    nonground = np.zeros(grid.shape, dtype=bool)
+    for w in range(1, max_window_radius + 1):
+        opened = open_fn(surface, w)
+        flag = (surface - opened) > slope * w * grid.cell_size
+        nonground |= flag
+        surface[flag] = opened[flag]
+    return nonground, surface
+
+
+# 1xN, Nx1, and grids narrower or shorter than the larger radii
+OPEN_SHAPES = [(1, 1), (1, 23), (23, 1), (3, 30), (30, 4), (6, 6), (13, 11)]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 5, 18])
+@pytest.mark.parametrize("shape", OPEN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_opening_equals_exhaustive_and_strip_oracles(shape, radius):
+    r = np.random.default_rng(shape[0] * 100 + shape[1] + radius)
+    # quarter steps make plateaus, so equal values meet in min and max
+    surface = r.integers(-8, 8, size=shape) * 0.25
+    got = morphological_open(surface, radius)
+    np.testing.assert_array_equal(got, open_oracle(surface, radius))
+    np.testing.assert_array_equal(got, strip_open_oracle(surface, radius))
+
+
+@pytest.mark.parametrize("max_radius", [1, 2, 5, 18])
+@pytest.mark.parametrize("shape", OPEN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_progressive_open_equals_oracles(shape, max_radius):
+    r = np.random.default_rng(shape[0] * 100 + shape[1] + max_radius)
+    field = r.normal(0.0, 0.05, size=shape)
+    spikes = r.uniform(size=shape) < 0.15
+    field[spikes] += r.uniform(0.5, 3.0, size=int(spikes.sum()))
+    grid = grid_of(field, cell_size=0.5)
+    got = progressive_open(grid, max_radius, 0.15)
+    for open_fn in (open_oracle, strip_open_oracle):
+        want = progressive_oracle(grid, max_radius, 0.15, open_fn)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ny=st.integers(1, 25), nx=st.integers(1, 25), radius=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_opening_equals_strip_oracle_on_random_grids(ny, nx, radius, seed):
+    surface = np.random.default_rng(seed).uniform(-3, 3, size=(ny, nx))
+    np.testing.assert_array_equal(morphological_open(surface, radius),
+                                  strip_open_oracle(surface, radius))
 
 
 def test_flat_surface_no_flags():
