@@ -300,11 +300,12 @@ def cmd_render(args) -> int:
         filled = image.point_index != -1
         pixel_ground[filled] = point_mask[image.point_index[filled]]
 
-    valid = image.range_m > 0
+    range_m = image.range_m  # computed on each access
+    valid = range_m > 0
     gray = np.zeros((image.rows, image.cols))
     if valid.any():
         inv = np.zeros_like(gray)
-        inv[valid] = 1.0 / image.range_m[valid]
+        inv[valid] = 1.0 / range_m[valid]
         lo, hi = inv[valid].min(), inv[valid].max()
         span = (hi - lo) if hi > lo else 1.0
         gray[valid] = (inv[valid] - lo) / span

@@ -7,6 +7,10 @@ slices sequentially, and results merge in ascending slice order. Slice
 seeds derive from the run seed xor the slice index before dispatch, so the
 merged mask never depends on scheduling: any (K, P) run is bit-identical to
 the (K, 1) run.
+
+Process units read depth slices from a shared-memory copy of the frame that
+the executor owns, so a depth task pickles to a small `FrameBand`; point
+slices are pickled whole.
 """
 
 from __future__ import annotations
@@ -14,14 +18,17 @@ from __future__ import annotations
 import multiprocessing
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import shared_memory
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import BACKENDS, RunConfig
 from .kitti_io import PointCloud
-from .range_image import (RangeImage, from_ssl_frame, merge_masks,
+from .range_image import (RangeImage, SliceSpec, from_ssl_frame, merge_masks,
                           partition_azimuth, project_spherical, slice_columns)
 from .seg_depth import depth_segment_image
 from .seg_ransac import ransac_ground
@@ -108,12 +115,59 @@ class SliceError(RuntimeError):
         return type(self), (self.slice_index, self.cause)
 
 
+class FrameBand(NamedTuple):
+    """Column band [lo, hi) of a frame held in an executor's frame buffer.
+
+    A depth task for a process unit carries this instead of the band's view,
+    and the unit rebuilds the view that `slice_columns` gives.
+    """
+
+    segment: str  # shared-memory name of the frame buffer
+    rows: int
+    cols: int  # of the whole frame
+    lo: int
+    hi: int
+    azimuth_span: tuple[float, float]
+    vertical_span: tuple[float, float]
+    n_points: int
+
+
+def _frame_arrays(buf, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xyz, point_index) of a rows x cols frame laid out in `buf`, xyz first."""
+    xyz = np.ndarray((rows, cols, 3), dtype=np.float64, buffer=buf)
+    point_index = np.ndarray((rows, cols), dtype=np.int64, buffer=buf, offset=xyz.nbytes)
+    return xyz, point_index
+
+
+# (segment name, SharedMemory) of the one frame buffer this unit process maps
+_mapped_frame = None
+
+
+def _band_view(band: FrameBand) -> RangeImage:
+    global _mapped_frame
+    if _mapped_frame is None or _mapped_frame[0] != band.segment:
+        if _mapped_frame is not None:
+            # unmaps even while numpy views of it exist (they hold the mmap,
+            # not a buffer export); a band's view is read only by its task
+            _mapped_frame[1].close()
+            _mapped_frame = None
+        _mapped_frame = (band.segment, shared_memory.SharedMemory(name=band.segment))
+    xyz, point_index = _frame_arrays(_mapped_frame[1].buf, band.rows, band.cols)
+    return RangeImage(rows=band.rows, cols=band.hi - band.lo,
+                      xyz=xyz[:, band.lo:band.hi],
+                      point_index=point_index[:, band.lo:band.hi],
+                      azimuth_span=band.azimuth_span, vertical_span=band.vertical_span,
+                      n_points=band.n_points)
+
+
 def _segment_slice(task) -> np.ndarray:
     # a task names its method instead of holding a function: the segmenters
     # are looked up as module globals here, where a tracer may have swapped
     # them for closures, and a closure in a task would not pickle
     method, slice_index, data, method_cfg, seed = task
     try:
+        if isinstance(data, FrameBand):
+            data = _band_view(data)
         if method == "depth":
             return depth_segment_image(data, method_cfg)
         if data.shape[0] == 0:
@@ -141,7 +195,9 @@ class SliceExecutor:
 
     backend "process" gives real parallelism (spawned workers, warmed up at
     construction so pool startup never lands inside a timed region);
-    "serial" runs every unit inline, one after another.
+    "serial" runs every unit inline, one after another. A process executor
+    also owns the shared-memory frame buffer its depth tasks read, created on
+    the first depth frame and unlinked by `close()`.
     """
 
     def __init__(self, units: int, backend: str = "process"):
@@ -149,6 +205,7 @@ class SliceExecutor:
             raise ValueError(f"unknown backend {backend!r}")
         self.units = units
         self.backend = backend
+        self._frame_buffer: shared_memory.SharedMemory | None = None
         if backend == "process":
             ctx = multiprocessing.get_context("spawn")
             self._pool = ProcessPoolExecutor(max_workers=units, mp_context=ctx)
@@ -158,16 +215,60 @@ class SliceExecutor:
         else:
             self._pool = None
 
+    @property
+    def frame_buffer_name(self) -> str | None:
+        """Shared-memory name of the frame buffer; None before the first depth
+        frame on process units, and after `close()`."""
+        return None if self._frame_buffer is None else self._frame_buffer.name
+
+    def depth_slices(self, image: RangeImage, spec: SliceSpec,
+                     views: list[RangeImage]) -> list:
+        """What each depth task carries: its view, or on process units a band
+        of a copy of the frame in the frame buffer."""
+        if self._pool is None:
+            return views
+        size = image.xyz.nbytes + image.point_index.nbytes
+        if self._frame_buffer is None or self._frame_buffer.size < size:
+            self._release_frame_buffer()
+            self._frame_buffer = shared_memory.SharedMemory(create=True, size=size)
+        xyz, point_index = _frame_arrays(self._frame_buffer.buf, image.rows, image.cols)
+        xyz[...] = image.xyz
+        point_index[...] = image.point_index
+        name = self._frame_buffer.name
+        return [FrameBand(name, image.rows, image.cols, lo, hi, view.azimuth_span,
+                          view.vertical_span, view.n_points)
+                for (lo, hi), view in zip(spec.intervals, views)]
+
     def run_units(self, unit_tasks: list[list]) -> list[list[tuple[int, np.ndarray]]]:
         if self._pool is None:
             return [_run_unit(tasks) for tasks in unit_tasks]
-        futures = [self._pool.submit(_run_unit, tasks) for tasks in unit_tasks]
-        return [f.result() for f in futures]
+        futures = []
+        try:
+            try:
+                for tasks in unit_tasks:
+                    futures.append(self._pool.submit(_run_unit, tasks))
+            finally:
+                # every unit is done before a failure is raised, so none is
+                # still reading the frame buffer when the next frame fills it
+                wait(futures)
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            raise RuntimeError(f"a processing unit died; this {self.units}-unit "
+                               f"executor cannot run again: {exc}") from exc
+
+    def _release_frame_buffer(self) -> None:
+        if self._frame_buffer is not None:
+            self._frame_buffer.close()
+            self._frame_buffer.unlink()
+            self._frame_buffer = None
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        try:
+            if self._pool is not None:
+                self._pool.shutdown()
+                self._pool = None
+        finally:
+            self._release_frame_buffer()
 
     def __enter__(self):
         return self
@@ -200,6 +301,8 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
         t0 = time.perf_counter()
         if method == "depth":
             spec, data = slice_columns(image, k)
+            if p > 1 and executor is not None:
+                data = executor.depth_slices(image, spec, data)
         else:
             slice_idx = partition_azimuth(frame.cloud, k)
             data = [frame.cloud.xyz[idx] for idx in slice_idx]

@@ -23,7 +23,6 @@ EMPTY = -1  # point_index sentinel for pixels holding no return
 class RangeImage:
     rows: int
     cols: int
-    range_m: np.ndarray  # (rows, cols) float64, 0 = empty pixel
     xyz: np.ndarray  # (rows, cols, 3) float64
     point_index: np.ndarray  # (rows, cols) int64, EMPTY where no return
     azimuth_span: tuple[float, float]  # radians, [start, end)
@@ -32,8 +31,18 @@ class RangeImage:
     n_out_of_span: int = 0  # points excluded for falling outside vertical_span
 
     def __post_init__(self):
-        for name in ("range_m", "xyz", "point_index"):
+        for name in ("xyz", "point_index"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def range_m(self) -> np.ndarray:
+        """(rows, cols) float64 distance of each pixel's return, 0 = empty pixel.
+
+        Computed on each access: only rendering reads it.
+        """
+        rng = np.where(self.point_index != EMPTY, np.linalg.norm(self.xyz, axis=2), 0.0)
+        rng.setflags(write=False)
+        return rng
 
 
 @dataclass(frozen=True)
@@ -91,8 +100,7 @@ def project_spherical(cloud: PointCloud, rows: int, cols: int,
     point_index = np.full(rows * cols, EMPTY, dtype=np.int64)
     point_index[bins[alone]] = idx[alone]
     point_index[shared_bins[first]] = shared[first]
-    # EMPTY (-1) picks the zero appended after the last point
-    range_m = np.append(rng, 0.0)[point_index].reshape(rows, cols)
+    # EMPTY (-1) picks the zero row appended after the last point
     out_xyz = np.vstack((xyz, np.zeros((1, 3)))).take(point_index, axis=0)
     out_xyz = out_xyz.reshape(rows, cols, 3)
     point_index = point_index.reshape(rows, cols)
@@ -100,7 +108,6 @@ def project_spherical(cloud: PointCloud, rows: int, cols: int,
     return RangeImage(
         rows=rows,
         cols=cols,
-        range_m=range_m,
         xyz=out_xyz,
         point_index=point_index,
         azimuth_span=(az_start, math.pi),
@@ -113,17 +120,15 @@ def project_spherical(cloud: PointCloud, rows: int, cols: int,
 def from_ssl_frame(frame: SslFrame) -> tuple[RangeImage, PointCloud]:
     """Use a decoded solid-state frame directly as a range image.
 
-    The organized grid bypasses spherical projection: range is the norm of
-    each valid cell and the point indices address the valid-cell cloud that
-    is returned alongside.
+    The organized grid bypasses spherical projection: the image shares the
+    frame's read-only xyz, and the point indices address the valid-cell
+    cloud that is returned alongside.
     """
     cloud, pixel_to_point = ssl_to_point_cloud(frame)
-    rng = np.where(frame.valid, np.linalg.norm(frame.xyz, axis=2), 0.0)
     image = RangeImage(
         rows=frame.rows,
         cols=frame.cols,
-        range_m=rng,
-        xyz=frame.xyz.copy(),
+        xyz=frame.xyz,
         point_index=pixel_to_point,
         azimuth_span=(0.0, 2.0 * math.pi),
         vertical_span=(math.pi / 2, -math.pi / 2),
@@ -161,7 +166,6 @@ def slice_columns(image: RangeImage, k: int) -> tuple[SliceSpec, list[RangeImage
             RangeImage(
                 rows=image.rows,
                 cols=hi - lo,
-                range_m=image.range_m[:, lo:hi],
                 xyz=image.xyz[:, lo:hi],
                 point_index=image.point_index[:, lo:hi],
                 azimuth_span=(az_start + lo * az_width, az_start + hi * az_width),

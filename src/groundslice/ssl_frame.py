@@ -10,6 +10,7 @@ sensor dropped keep valid=False through decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -70,27 +71,34 @@ class SslFrame:
 
 
 def decode_index_map(parity: str = "even") -> np.ndarray:
-    """Record index landing in each cell of the organized frame.
+    """Record index landing in each cell of the organized frame (read-only).
 
     Rows whose 0-based index matches `parity` are read right-to-left
     (serpentine de-interleave); the rest left-to-right.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _index_map(parity)
+
+
+@lru_cache(maxsize=2)
+def _index_map(parity: str) -> np.ndarray:
     rows = np.arange(SUBFRAME_ROWS)[:, None]
     cols = np.arange(SUBFRAME_COLS)[None, :]
     reversed_rows = (rows % 2 == 0) if parity == "even" else (rows % 2 == 1)
     within = np.where(reversed_rows, SUBFRAME_COLS - 1 - cols, cols)
     sub = rows * SUBFRAME_COLS + within  # (126, 125) indices within one block
     blocks = [sub + s * RECORDS_PER_SUBFRAME for s in range(SUBFRAME_COUNT)]
-    return np.concatenate(blocks, axis=1).astype(np.int64)
+    index_map = np.concatenate(blocks, axis=1).astype(np.int64)
+    index_map.setflags(write=False)
+    return index_map
 
 
 def decode_ssl_frame(raw: SslRawFrame, parity: str = "even") -> SslFrame:
     """Decode a raw capture into the organized 126x625 frame."""
     index_map = decode_index_map(parity)
     return SslFrame(
-        xyz=raw.xyz[index_map],
+        xyz=raw.xyz.take(index_map, axis=0),
         valid=raw.valid[index_map],
         index_map=index_map,
     )
@@ -128,11 +136,11 @@ def ssl_to_point_cloud(frame: SslFrame):
     """
     from .kitti_io import PointCloud
 
-    valid = frame.valid
-    n = int(valid.sum())
-    pixel_to_point = np.full(valid.shape, -1, dtype=np.int64)
-    pixel_to_point[valid] = np.arange(n)
-    xyz = frame.xyz[valid]
+    cells = np.flatnonzero(frame.valid)
+    n = cells.size
+    pixel_to_point = np.full(frame.valid.shape, -1, dtype=np.int64)
+    pixel_to_point.ravel()[cells] = np.arange(n)
+    xyz = frame.xyz.reshape(-1, 3).take(cells, axis=0)
     cloud = PointCloud(xyz=xyz, intensity=np.zeros(n))
     return cloud, pixel_to_point
 
@@ -151,7 +159,8 @@ def load_sslraw(path) -> SslRawFrame:
             f"capture {path} holds {raw.size // 3} records, expected {RECORDS_PER_FRAME}"
         )
     xyz = raw.reshape(-1, 3).astype(np.float64)
-    valid = ~np.all(xyz == 0.0, axis=1)
+    # column by column: a record is valid unless all three coordinates are zero
+    valid = (xyz[:, 0] != 0.0) | (xyz[:, 1] != 0.0) | (xyz[:, 2] != 0.0)
     return SslRawFrame(xyz=xyz, valid=valid)
 
 

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -31,6 +32,18 @@ def process_pool():
     """One spawned worker pool for every test that needs real processes."""
     with SliceExecutor(5, "process") as ex:
         yield ex
+
+
+class _ExitsWhenUnpickled:
+    """A task whose unpickling in a pool worker ends that worker's process."""
+
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
+@pytest.fixture
+def dying_task():
+    return _ExitsWhenUnpickled()
 
 
 @pytest.fixture

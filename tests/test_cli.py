@@ -292,3 +292,16 @@ def test_eval_with_units_matches_serial(small_dataset, tmp_path):
     run_cli("eval", "--root", small_dataset, "--method", "depth",
             "--slices", "2", "--units", "2", "--out", b)
     assert (a / "eval_frames.csv").read_bytes() == (b / "eval_frames.csv").read_bytes()
+
+
+def test_segment_exits_1_when_a_unit_dies(ssl_file, tmp_path, monkeypatch, capsys,
+                                          dying_task):
+    from groundslice.parallel_exec import SliceExecutor
+
+    run_units = SliceExecutor.run_units
+    monkeypatch.setattr(SliceExecutor, "run_units",
+                        lambda self, unit_tasks: run_units(self, [[dying_task], *unit_tasks[1:]]))
+    code = run_cli("segment", "--ssl-file", ssl_file, "--method", "depth",
+                   "--slices", "5", "--units", "2", "--out", tmp_path / "out")
+    assert code == 1
+    assert "processing unit died" in capsys.readouterr().err

@@ -1,9 +1,16 @@
+import copy
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from groundslice import default_config
 from groundslice.kitti_io import PointCloud
 from groundslice.parallel_exec import (SliceError, SliceExecutor,
                                        allocate, frame_from_cloud,
@@ -222,3 +229,114 @@ def test_unit_sweep_monotone_wall_time(fast_cfg):
         medians.append(sorted(times)[len(times) // 2])
     for prev, cur in zip(medians, medians[1:]):
         assert cur <= prev * 1.10
+
+
+def _segment_exists(name: str) -> bool:
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    shm.close()
+    return True
+
+
+def run_buffer_sequence(executor) -> list[str]:
+    """Depth at K=5 on 2 units over 64x1024, 126x625, 128x1024 and 64x1024 frames.
+
+    Each mask must equal its P=1 mask. Returns the executor's frame buffer
+    name after each frame.
+    """
+    cfg = default_config()
+    ssl_cfg, tall_cfg = copy.deepcopy(cfg), copy.deepcopy(cfg)
+    ssl_cfg.depth.sensor_height = 1.0
+    tall_cfg.projection.rows = 128
+    street = frame_from_cloud(make_random_cloud(11, 2200), "street")
+    ssl = frame_from_ssl(decode_ssl_frame(make_ssl_capture(seed=21), "even"), "ssl")
+    names = []
+    for frame, c in ((street, cfg), (ssl, ssl_cfg), (street, tall_cfg), (street, cfg)):
+        ref, _ = run_sliced(frame, "depth", 5, 1, c)
+        got, _ = run_sliced(frame, "depth", 5, 2, c, executor=executor)
+        assert ref.any()
+        np.testing.assert_array_equal(got, ref)
+        names.append(executor.frame_buffer_name)
+    return names
+
+
+def test_frame_buffer_replaced_only_when_a_frame_does_not_fit(process_pool):
+    names = run_buffer_sequence(process_pool)
+    # the 128x1024 frame outgrows any earlier buffer; the 64x1024 one after it fits
+    assert names[3] == names[2] != names[1]
+    assert not _segment_exists(names[1])  # the outgrown buffer was unlinked
+    assert _segment_exists(names[3])
+
+
+def test_frame_buffer_unlinked_on_close_without_tracker_warning():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path[:0] = [{src_dir!r}, {tests_dir!r}]
+        from groundslice.parallel_exec import SliceExecutor
+        from test_parallel_exec import run_buffer_sequence
+        with SliceExecutor(2, "process") as ex:
+            names = run_buffer_sequence(ex)
+        assert ex.frame_buffer_name is None
+        print(" ".join(names))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert "resource_tracker" not in out.stderr and "leaked" not in out.stderr
+    names = out.stdout.split()
+    assert len(names) == 4 and len(set(names)) == 3  # created, then outgrown twice
+    assert not any(_segment_exists(n) for n in names)
+
+
+class _SleepsWhenUnpickled:
+    """A task whose unpickling in the unit process takes half a second."""
+
+    def __reduce__(self):
+        return time.sleep, (0.5,)
+
+
+def test_run_units_waits_for_every_unit_before_raising(fast_cfg, process_pool):
+    failing = ("ransac", 0, np.zeros((1, 3)), fast_cfg.ransac, 0)
+    t0 = time.perf_counter()
+    with pytest.raises(SliceError, match="slice 0"):
+        process_pool.run_units([[failing], [_SleepsWhenUnpickled()]])
+    assert time.perf_counter() - t0 >= 0.5
+
+
+def test_dead_unit_raises_and_close_still_unlinks(fast_cfg, dying_task):
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
+    executor = SliceExecutor(2, "process")
+    try:
+        got, _ = run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
+        np.testing.assert_array_equal(got, ref)
+        name = executor.frame_buffer_name
+        with pytest.raises(RuntimeError, match="processing unit died"):
+            executor.run_units([[dying_task], []])
+        with pytest.raises(RuntimeError, match="processing unit died"):
+            run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
+    finally:
+        executor.close()
+    assert executor.frame_buffer_name is None
+    assert not _segment_exists(name)
+
+
+def test_unit_maps_a_new_buffer_after_a_failed_slice():
+    # a one-row image fails in every slice; the units, which keep the failed
+    # slices' tracebacks, must still map the next, larger frame's buffer
+    cfg = default_config()
+    flat_cfg = copy.deepcopy(cfg)
+    flat_cfg.projection.rows = 1
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    ref, _ = run_sliced(frame, "depth", 5, 1, cfg)
+    with SliceExecutor(2, "process") as executor:
+        with pytest.raises(SliceError, match="at least 2 rows"):
+            run_sliced(frame, "depth", 5, 2, flat_cfg, executor=executor)
+        small = executor.frame_buffer_name
+        got, _ = run_sliced(frame, "depth", 5, 2, cfg, executor=executor)
+        assert executor.frame_buffer_name != small
+    np.testing.assert_array_equal(got, ref)

@@ -242,3 +242,35 @@ def test_partition_azimuth_covers_and_orders(rng):
     np.testing.assert_array_equal(assembled, np.arange(300))
     for p in parts:
         assert (np.diff(p) > 0).all() or p.size <= 1
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("rows, cols", [(64, 1024), (32, 360)])
+def test_range_matches_eager_projection_range(rows, cols):
+    from groundslice.synthetic import make_street_scene, simulate_scan
+
+    xyz, _, _ = simulate_scan(make_street_scene(3), (0.0, 0.0), seed=5)
+    image = project_spherical(cloud_of(xyz), rows, cols, V_SPAN)
+    if cols == 360:  # bins collide at this size: losers must not leak into range_m
+        assert np.count_nonzero(image.point_index != EMPTY) < len(xyz) - image.n_out_of_span
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    eager = np.append(np.sqrt(x * x + y * y + z * z), 0.0)[image.point_index]
+    np.testing.assert_array_equal(_bits(image.range_m), _bits(eager))
+    with pytest.raises(ValueError):
+        image.range_m[0, 0] = 1.0
+
+
+def test_range_matches_eager_ssl_range():
+    from groundslice.range_image import from_ssl_frame
+    from groundslice.ssl_frame import decode_ssl_frame
+    from groundslice.synthetic import make_ssl_capture
+
+    for seed in (4, 8):
+        frame = decode_ssl_frame(make_ssl_capture(seed=seed, dropout=0.1), "even")
+        image, _ = from_ssl_frame(frame)
+        eager = np.where(frame.valid, np.linalg.norm(frame.xyz, axis=2), 0.0)
+        np.testing.assert_array_equal(_bits(image.range_m), _bits(eager))
+        assert image.xyz is frame.xyz

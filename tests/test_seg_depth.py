@@ -68,7 +68,6 @@ def test_random_column_matches_pairwise_oracle(rng):
     from groundslice.range_image import RangeImage
     point_index = np.where(valid, np.arange(rows * cols).reshape(rows, cols), -1)
     image = RangeImage(rows=rows, cols=cols,
-                       range_m=np.where(valid, np.linalg.norm(xyz, axis=2), 0.0),
                        xyz=xyz, point_index=point_index,
                        azimuth_span=(0, 1), vertical_span=(1, -1),
                        n_points=rows * cols)
@@ -87,7 +86,7 @@ def test_random_column_matches_pairwise_oracle(rng):
 
 def test_angle_image_requires_two_rows():
     from groundslice.range_image import RangeImage
-    image = RangeImage(rows=1, cols=4, range_m=np.zeros((1, 4)),
+    image = RangeImage(rows=1, cols=4,
                        xyz=np.zeros((1, 4, 3)),
                        point_index=np.full((1, 4), -1),
                        azimuth_span=(0, 1), vertical_span=(1, -1), n_points=0)
@@ -104,7 +103,6 @@ def test_column_permutation_equivariance(rng):
 
     def build(v, x, p):
         return RangeImage(rows=rows, cols=cols,
-                          range_m=np.where(v, np.linalg.norm(x, axis=2), 0.0),
                           xyz=x, point_index=p, azimuth_span=(0, 1),
                           vertical_span=(1, -1), n_points=rows * cols)
 

@@ -4,8 +4,8 @@ import pytest
 from groundslice.ssl_frame import (FRAME_COLS, RECORDS_PER_FRAME,
                                    RECORDS_PER_SUBFRAME, SUBFRAME_COLS,
                                    SUBFRAME_COUNT, SUBFRAME_ROWS,
-                                   SslRawFrame, decode_ssl_frame,
-                                   encode_ssl_frame, load_ssl_csv,
+                                   SslRawFrame, decode_index_map,
+                                   decode_ssl_frame, encode_ssl_frame, load_ssl_csv,
                                    load_sslraw, save_ssl_csv, save_sslraw,
                                    ssl_to_point_cloud, subframe)
 from groundslice.synthetic import make_ssl_capture
@@ -156,3 +156,52 @@ def test_column_partition_exact():
     assert owners.min() == 0 and owners.max() == SUBFRAME_COUNT - 1
     counts = np.bincount(owners)
     assert (counts == SUBFRAME_COLS).all()
+
+
+def test_sslraw_validity_matches_all_zero_rule(tmp_path):
+    # every record is one of: signed zeros, NaN, infinities or a single
+    # nonzero component in any position
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0e-30],
+                        dtype=np.float32)
+    rng = np.random.default_rng(17)
+    records = specials[rng.integers(0, specials.size, size=(RECORDS_PER_FRAME, 3))]
+    records[:300] = 0.0
+    records[300:600] = -0.0
+    for axis in range(3):
+        block = records[600 + 100 * axis:700 + 100 * axis]
+        block[:] = 0.0
+        block[:, axis] = rng.choice(specials, size=100)
+    path = tmp_path / "specials.sslraw"
+    records.astype("<f4").tofile(path)
+    loaded = load_sslraw(path)
+    xyz = records.astype(np.float64)
+    np.testing.assert_array_equal(loaded.valid, ~np.all(xyz == 0, axis=1))
+    assert loaded.valid.any() and not loaded.valid.all()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_decode_gather_matches_fancy_indexing(parity):
+    raw = make_ssl_capture(seed=31, dropout=0.1)
+    frame = decode_ssl_frame(raw, parity)
+    np.testing.assert_array_equal(frame.xyz, raw.xyz[frame.index_map])
+    np.testing.assert_array_equal(frame.valid, raw.valid[frame.index_map])
+
+
+def test_index_map_cached_and_read_only():
+    even = decode_index_map("even")
+    assert decode_index_map("even") is even
+    assert decode_index_map("odd") is not even
+    with pytest.raises(ValueError):
+        even[0, 0] = 1
+    with pytest.raises(ValueError, match="parity"):
+        decode_index_map("both")
+
+
+def test_point_cloud_matches_boolean_mask_gather():
+    for dropout in (0.0, 0.1, 1.0):
+        frame = decode_ssl_frame(make_ssl_capture(seed=12, dropout=dropout), "odd")
+        cloud, pix2pt = ssl_to_point_cloud(frame)
+        np.testing.assert_array_equal(cloud.xyz, frame.xyz[frame.valid])
+        want = np.full(frame.valid.shape, -1, dtype=np.int64)
+        want[frame.valid] = np.arange(int(frame.valid.sum()))
+        np.testing.assert_array_equal(pix2pt, want)
