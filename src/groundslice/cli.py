@@ -95,7 +95,8 @@ def _iter_kitti_frames(args, cfg: RunConfig, with_labels: bool):
         yield frame, truth, dropped
 
 
-def _load_ssl_input(path, cfg: RunConfig):
+def _load_ssl_input(path, parity: str) -> sslmod.SslFrame:
+    """Decode a raw capture (`.csv` fixture or `.sslraw`) with the given parity."""
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"capture not found: {path}")
@@ -103,7 +104,7 @@ def _load_ssl_input(path, cfg: RunConfig):
         raw = sslmod.load_ssl_csv(path)
     else:
         raw = sslmod.load_sslraw(path)
-    return sslmod.decode_ssl_frame(raw, cfg.ssl.parity)
+    return sslmod.decode_ssl_frame(raw, parity)
 
 
 def _record_mask_kitti(mask: np.ndarray, dropped: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def cmd_segment(args) -> int:
 
     jobs = []  # (frame, record_mask_fn)
     if args.ssl_file:
-        ssl = _load_ssl_input(args.ssl_file, cfg)
+        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
         frame = frame_from_ssl(ssl, frame_id=Path(args.ssl_file).stem)
         if args.method == "depth":
             cfg.depth.sensor_height = cfg.ssl.sensor_height
@@ -225,7 +226,7 @@ def cmd_bench(args) -> int:
 
     frames = []
     if args.ssl_file:
-        ssl = _load_ssl_input(args.ssl_file, cfg)
+        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
         if args.method == "depth":
             cfg.depth.sensor_height = cfg.ssl.sensor_height
         frames.append(frame_from_ssl(ssl, frame_id=Path(args.ssl_file).stem))
@@ -265,7 +266,7 @@ def _write_ppm(path, rgb: np.ndarray) -> None:
 def cmd_render(args) -> int:
     cfg = _load_cfg(args)
     if args.ssl_file:
-        ssl = _load_ssl_input(args.ssl_file, cfg)
+        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
         image, _ = from_ssl_frame(ssl)
         # record mask -> per-point mask over the valid-cell cloud
         record_of_point = ssl.index_map[ssl.valid]
@@ -324,12 +325,9 @@ def cmd_render(args) -> int:
 
 def cmd_decode_ssl(args) -> int:
     cfg = _load_cfg(args)
-    parity = args.parity or cfg.ssl.parity  # both checked: argparse choices, load_config
+    # parity checked by both argparse choices and load_config
+    frame = _load_ssl_input(args.ssl_file, args.parity or cfg.ssl.parity)
     path = Path(args.ssl_file)
-    if not path.is_file():
-        raise UsageError(f"capture not found: {path}")
-    raw = sslmod.load_ssl_csv(path) if path.suffix == ".csv" else sslmod.load_sslraw(path)
-    frame = sslmod.decode_ssl_frame(raw, parity)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

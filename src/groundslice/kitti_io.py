@@ -35,6 +35,9 @@ class PointCloud:
 
     Point order is the universal index space: every mask produced downstream
     aligns with it, so no transform may reorder or drop points silently.
+    The loaders and savers, `ssl_to_point_cloud`, `make_random_cloud` and
+    `Frame.cloud` use it; the segmenters, projection and azimuth slicing
+    take its (N, 3) `xyz` array alone.
     """
 
     xyz: np.ndarray  # (N, 3) float64

@@ -76,7 +76,7 @@ class Frame:
         proj = cfg.projection
         key = (proj.rows, proj.cols, proj.vertical_span)
         if self._projected is None or self._projected[0] != key:
-            image = project_spherical(self.cloud, *key)
+            image = project_spherical(self.cloud.xyz, *key)
             self._projected = (key, image)
         return self._projected[1]
 
@@ -172,11 +172,10 @@ def _segment_slice(task) -> np.ndarray:
             return depth_segment_image(data, method_cfg)
         if data.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        cloud = PointCloud(xyz=data, intensity=np.zeros(data.shape[0]))
         if method == "ransac":
-            return ransac_ground(cloud, method_cfg.iterations, method_cfg.dist_threshold,
+            return ransac_ground(data, method_cfg.iterations, method_cfg.dist_threshold,
                                  method_cfg.max_normal_tilt, seed)
-        return smrf_segment(cloud, method_cfg)
+        return smrf_segment(data, method_cfg)
     except Exception as exc:
         raise SliceError(slice_index, exc) from exc
 
@@ -197,7 +196,8 @@ class SliceExecutor:
     construction so pool startup never lands inside a timed region);
     "serial" runs every unit inline, one after another. A process executor
     also owns the shared-memory frame buffer its depth tasks read, created on
-    the first depth frame and unlinked by `close()`.
+    the first depth frame and unlinked by `close()`. A closed executor of
+    either backend raises `RuntimeError` instead of running slices.
     """
 
     def __init__(self, units: int, backend: str = "process"):
@@ -205,15 +205,19 @@ class SliceExecutor:
             raise ValueError(f"unknown backend {backend!r}")
         self.units = units
         self.backend = backend
+        self._closed = False
         self._frame_buffer: shared_memory.SharedMemory | None = None
+        self._pool = None
         if backend == "process":
             ctx = multiprocessing.get_context("spawn")
             self._pool = ProcessPoolExecutor(max_workers=units, mp_context=ctx)
             # force workers to exist before any timing happens
-            for fut in [self._pool.submit(_noop) for _ in range(units)]:
-                fut.result()
-        else:
-            self._pool = None
+            try:
+                for fut in [self._pool.submit(_noop) for _ in range(units)]:
+                    fut.result()
+            except BrokenProcessPool as exc:
+                self._pool.shutdown()
+                raise self._unit_died(exc) from exc
 
     @property
     def frame_buffer_name(self) -> str | None:
@@ -221,10 +225,19 @@ class SliceExecutor:
         frame on process units, and after `close()`."""
         return None if self._frame_buffer is None else self._frame_buffer.name
 
+    def _unit_died(self, exc: BrokenProcessPool) -> RuntimeError:
+        return RuntimeError(f"a processing unit died; this {self.units}-unit "
+                            f"executor cannot run again: {exc}")
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"this {self.units}-unit executor is closed")
+
     def depth_slices(self, image: RangeImage, spec: SliceSpec,
                      views: list[RangeImage]) -> list:
         """What each depth task carries: its view, or on process units a band
         of a copy of the frame in the frame buffer."""
+        self._check_open()
         if self._pool is None:
             return views
         size = image.xyz.nbytes + image.point_index.nbytes
@@ -240,6 +253,7 @@ class SliceExecutor:
                 for (lo, hi), view in zip(spec.intervals, views)]
 
     def run_units(self, unit_tasks: list[list]) -> list[list[tuple[int, np.ndarray]]]:
+        self._check_open()
         if self._pool is None:
             return [_run_unit(tasks) for tasks in unit_tasks]
         futures = []
@@ -253,8 +267,7 @@ class SliceExecutor:
                 wait(futures)
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:
-            raise RuntimeError(f"a processing unit died; this {self.units}-unit "
-                               f"executor cannot run again: {exc}") from exc
+            raise self._unit_died(exc) from exc
 
     def _release_frame_buffer(self) -> None:
         if self._frame_buffer is not None:
@@ -263,6 +276,7 @@ class SliceExecutor:
             self._frame_buffer = None
 
     def close(self) -> None:
+        self._closed = True
         try:
             if self._pool is not None:
                 self._pool.shutdown()
@@ -304,7 +318,7 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
             if p > 1 and executor is not None:
                 data = executor.depth_slices(image, spec, data)
         else:
-            slice_idx = partition_azimuth(frame.cloud, k)
+            slice_idx = partition_azimuth(frame.cloud.xyz, k)
             data = [frame.cloud.xyz[idx] for idx in slice_idx]
         method_cfg = getattr(cfg, method)
         tasks = [(method, s, data[s], method_cfg, seed ^ s) for s in range(k)]

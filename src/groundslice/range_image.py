@@ -1,7 +1,8 @@
 """Range images: spherical projection, column slicing, mask merging.
 
 The range image is the bridge between point clouds and image-space
-segmentation. Slicing cuts it into K near-equal column bands whose views
+segmentation. Projection and azimuth partitioning take an (N, 3) float64
+xyz array. Slicing cuts an image into K near-equal column bands whose views
 share the parent's point-index map, so per-slice pixel masks merge back into
 per-point masks without bookkeeping.
 """
@@ -53,9 +54,9 @@ class SliceSpec:
     intervals: tuple[tuple[int, int], ...]
 
 
-def project_spherical(cloud: PointCloud, rows: int, cols: int,
+def project_spherical(xyz: np.ndarray, rows: int, cols: int,
                       vertical_span: tuple[float, float]) -> RangeImage:
-    """Spherically project a cloud onto a rows x cols range image.
+    """Spherically project points onto a rows x cols range image.
 
     Azimuth atan2(y, x) maps linearly onto columns over the full circle;
     elevation atan2(z, hypot(x, y)) maps onto rows with the top row at the
@@ -69,7 +70,6 @@ def project_spherical(cloud: PointCloud, rows: int, cols: int,
     if not v_top > v_bottom:
         raise ValueError(f"degenerate vertical span {vertical_span}")
 
-    xyz = cloud.xyz
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     rng = np.sqrt(x * x + y * y + z * z)
     azimuth = np.arctan2(y, x)
@@ -112,8 +112,8 @@ def project_spherical(cloud: PointCloud, rows: int, cols: int,
         point_index=point_index,
         azimuth_span=(az_start, math.pi),
         vertical_span=(v_top, v_bottom),
-        n_points=len(cloud),
-        n_out_of_span=int(len(cloud) - keep.sum()),
+        n_points=len(xyz),
+        n_out_of_span=int(len(xyz) - keep.sum()),
     )
 
 
@@ -198,8 +198,8 @@ def merge_masks(slice_masks: list[np.ndarray], image: RangeImage,
     return out
 
 
-def partition_azimuth(cloud: PointCloud, k: int) -> list[np.ndarray]:
-    """Split a cloud into K equal azimuth sectors of its occupied span.
+def partition_azimuth(xyz: np.ndarray, k: int) -> list[np.ndarray]:
+    """Split points into K equal azimuth sectors of its occupied span.
 
     Used for point-domain methods; full-circle mechanical scans come out as
     fixed angular sectors, narrow-FoV solid-state clouds as their natural
@@ -207,10 +207,9 @@ def partition_azimuth(cloud: PointCloud, k: int) -> list[np.ndarray]:
     """
     if k < 1:
         raise ValueError(f"slice count {k} must be >= 1")
-    n = len(cloud)
-    if n == 0:
+    if len(xyz) == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(k)]
-    azimuth = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
+    azimuth = np.arctan2(xyz[:, 1], xyz[:, 0])
     lo, hi = float(azimuth.min()), float(azimuth.max())
     if hi <= lo:
         hi = lo + 1e-9

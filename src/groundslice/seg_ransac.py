@@ -1,8 +1,9 @@
 """Point-based ground segmentation by plane consensus.
 
-Seeded, counter-based sampling keeps runs reproducible: the same cloud,
-parameters and seed always produce the same mask, which the parallel
-executor relies on when it derives per-slice seeds.
+The segmenter takes an (N, 3) float64 xyz array. Seeded, counter-based
+sampling keeps runs reproducible: the same points, parameters and seed
+always produce the same mask, which the parallel executor relies on when
+it derives per-slice seeds.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kitti_io import PointCloud
 
 _DEGENERATE_EPS = 1e-12
 
@@ -56,16 +55,16 @@ def fit_plane_3pts(p1, p2, p3) -> PlaneModel:
     return PlaneModel(normal=normal, d=float(-normal @ p1))
 
 
-def count_inliers(cloud: PointCloud, plane: PlaneModel,
+def count_inliers(xyz: np.ndarray, plane: PlaneModel,
                   dist_threshold: float) -> tuple[int, np.ndarray]:
     """Points within dist_threshold of the plane (closed inequality)."""
     if dist_threshold <= 0:
         raise ValueError("dist_threshold must be positive")
-    mask = plane.distances(cloud.xyz) <= dist_threshold
+    mask = plane.distances(xyz) <= dist_threshold
     return int(np.count_nonzero(mask)), mask
 
 
-def ransac_ground(cloud: PointCloud, iterations: int, dist_threshold: float,
+def ransac_ground(xyz: np.ndarray, iterations: int, dist_threshold: float,
                   max_normal_tilt: float, rng_seed: int) -> np.ndarray:
     """Consensus ground mask from seeded three-point plane sampling.
 
@@ -74,13 +73,12 @@ def ransac_ground(cloud: PointCloud, iterations: int, dist_threshold: float,
     counts inliers. The most-supported model wins (ties keep the earlier
     one); with no accepted model the mask is all false.
     """
-    n = len(cloud)
+    n = len(xyz)
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    xyz = cloud.xyz
     cos_limit = math.cos(max_normal_tilt)
 
     best_count = 0
@@ -93,7 +91,7 @@ def ransac_ground(cloud: PointCloud, iterations: int, dist_threshold: float,
             continue
         if plane.normal[2] < cos_limit:
             continue
-        count, mask = count_inliers(cloud, plane, dist_threshold)
+        count, mask = count_inliers(xyz, plane, dist_threshold)
         if count > best_count:
             best_count = count
             best_mask = mask

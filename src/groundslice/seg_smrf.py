@@ -1,9 +1,9 @@
 """Grid-based ground segmentation with a progressive morphological filter.
 
-The cloud is rasterized into a minimum-elevation grid, openings with a
-linearly growing disk window peel off protrusions whose height exceeds a
-slope-scaled threshold, and points are classified against the resulting
-bare-earth surface.
+The stages take an (N, 3) float64 xyz array. The points are rasterized
+into a minimum-elevation grid, openings with a linearly growing disk window
+peel off protrusions whose height exceeds a slope-scaled threshold, and
+points are classified against the resulting bare-earth surface.
 
 Both grid stages are exact and linear in memory. Empty cells are inpainted
 from the Euclidean distance transform and the lattice ring at the nearest
@@ -20,12 +20,11 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .config import SmrfConfig
-from .kitti_io import PointCloud
 
 
 @dataclass(frozen=True)
 class SmrfGrid:
-    """Minimum-elevation raster over the cloud's xy bounding box.
+    """Minimum-elevation raster over the points' xy bounding box.
 
     elevation holds the per-cell minimum z with empty cells filled from their
     nearest occupied neighbor; inpainted marks those filled cells so
@@ -54,7 +53,7 @@ def _cell_indices(grid: SmrfGrid, xy: np.ndarray):
     return ix, iy, inside
 
 
-def rasterize_min_surface(cloud: PointCloud, cell_size: float) -> SmrfGrid:
+def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
     """Bucket points into cells keeping the minimum z, then inpaint gaps.
 
     Empty cells take the elevation of the nearest occupied cell by Euclidean
@@ -63,9 +62,8 @@ def rasterize_min_surface(cloud: PointCloud, cell_size: float) -> SmrfGrid:
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
-    if len(cloud) == 0:
+    if len(xyz) == 0:
         raise ValueError("cannot rasterize an empty cloud")
-    xyz = cloud.xyz
     min_x, min_y = xyz[:, 0].min(), xyz[:, 1].min()
     max_x, max_y = xyz[:, 0].max(), xyz[:, 1].max()
     nx = max(1, int(np.ceil((max_x - min_x) / cell_size)))
@@ -231,7 +229,7 @@ def local_slope(surface: np.ndarray, cell_size: float) -> np.ndarray:
     return np.maximum(sx, sy)
 
 
-def classify_points(cloud: PointCloud, grid: SmrfGrid, bare_earth: np.ndarray,
+def classify_points(xyz: np.ndarray, grid: SmrfGrid, bare_earth: np.ndarray,
                     elevation_threshold: float, elevation_scale: float) -> np.ndarray:
     """Ground mask: residual against bare earth within a slope-scaled budget.
 
@@ -242,19 +240,19 @@ def classify_points(cloud: PointCloud, grid: SmrfGrid, bare_earth: np.ndarray,
     if elevation_threshold < 0 or elevation_scale < 0:
         raise ValueError("thresholds must be non-negative")
     slope = local_slope(bare_earth, grid.cell_size)
-    ix, iy, inside = _cell_indices(grid, cloud.xyz[:, :2])
+    ix, iy, inside = _cell_indices(grid, xyz[:, :2])
     ix = np.clip(ix, 0, grid.shape[1] - 1)
     iy = np.clip(iy, 0, grid.shape[0] - 1)
     budget = elevation_threshold + elevation_scale * slope[iy, ix] * grid.cell_size
-    residual = np.abs(cloud.xyz[:, 2] - bare_earth[iy, ix])
+    residual = np.abs(xyz[:, 2] - bare_earth[iy, ix])
     return inside & (residual <= budget)
 
 
-def smrf_segment(cloud: PointCloud, cfg: SmrfConfig) -> np.ndarray:
+def smrf_segment(xyz: np.ndarray, cfg: SmrfConfig) -> np.ndarray:
     """Full pipeline: rasterize, progressive opening, classify."""
-    if len(cloud) == 0:
+    if len(xyz) == 0:
         return np.zeros(0, dtype=bool)
-    grid = rasterize_min_surface(cloud, cfg.cell_size)
+    grid = rasterize_min_surface(xyz, cfg.cell_size)
     _, bare_earth = progressive_open(grid, cfg.max_window_radius, cfg.slope)
-    return classify_points(cloud, grid, bare_earth,
+    return classify_points(xyz, grid, bare_earth,
                            cfg.elevation_threshold, cfg.elevation_scale)

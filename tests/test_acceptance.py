@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from groundslice.config import default_config
-from groundslice.kitti_io import PointCloud, list_sequence, load_frame
+from groundslice.kitti_io import list_sequence, load_frame
 from groundslice.metrics import EvalStats, aggregate, confusion, f1, iou
 from groundslice.parallel_exec import (SliceExecutor, frame_from_cloud,
                                        frame_from_ssl, run_sliced)
@@ -254,10 +254,9 @@ def test_criterion_07_oracle_equivalence_suite(rng):
     out_z = -1.55 + r.choice([-1.0, 1.0], 50) * r.uniform(1.0, 4.0, 50)
     xyz = np.concatenate([plane_pts, np.column_stack([out_xy, out_z])])
     xyz = xyz[r.permutation(250)]
-    cloud = PointCloud(xyz=xyz, intensity=np.zeros(250))
     thr, tilt = cfg.ransac.dist_threshold, cfg.ransac.max_normal_tilt
     _, oracle_mask = _exhaustive_ransac_oracle(xyz, thr, tilt)
-    got = ransac_ground(cloud, 200, thr, tilt, rng_seed=5)
+    got = ransac_ground(xyz, 200, thr, tilt, rng_seed=5)
     assert np.array_equal(got, oracle_mask)
 
     # smoothing vs direct per-window least squares, < 1e-9 rad
@@ -301,9 +300,8 @@ def test_criterion_07_oracle_equivalence_suite(rng):
 
     # spherical projection vs per-point binning oracle
     pts = rng.normal(scale=14.0, size=(400, 3))
-    cloud2 = PointCloud(xyz=pts, intensity=np.zeros(400))
     rows, cols = 24, 180
-    image = project_spherical(cloud2, rows, cols, V_SPAN)
+    image = project_spherical(pts, rows, cols, V_SPAN)
     v_top, v_bottom = V_SPAN
     best = {}
     for i, (x, y, z) in enumerate(pts):
@@ -356,10 +354,9 @@ def test_criterion_09_slicing_lossless(rng):
     for i in range(100):
         n = int(rng.integers(40, 600))
         pts = rng.normal(scale=rng.uniform(4, 20), size=(n, 3))
-        cloud = PointCloud(xyz=pts, intensity=np.zeros(n))
         rows = int(rng.integers(4, 24))
         cols = int(rng.integers(8, 160))
-        image = project_spherical(cloud, rows, cols, V_SPAN)
+        image = project_spherical(pts, rows, cols, V_SPAN)
         parent = np.sort(image.point_index[image.point_index != EMPTY])
         for k in range(1, min(5, cols) + 1):
             _, views = slice_columns(image, k)

@@ -1,0 +1,56 @@
+"""The benchmark's hooks into the library still fit its signatures.
+
+framebench/checks.py wraps `seg_ransac.count_inliers` under positional
+arguments, and framebench/trace_layers.py swaps module attributes of the
+segmenters, projection and executor for timing wrappers. A signature or
+call-order change that breaks either shows up here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from groundslice import default_config
+from groundslice.parallel_exec import frame_from_cloud, run_sliced
+from groundslice.synthetic import make_random_cloud
+
+FRAMEBENCH = str(Path(__file__).resolve().parent.parent / "framebench")
+
+
+@pytest.fixture(scope="module")
+def framebench():
+    sys.path.insert(0, FRAMEBENCH)
+    try:
+        import checks
+        import trace_layers
+        yield checks, trace_layers
+    finally:
+        sys.path.remove(FRAMEBENCH)
+
+
+def test_plane_capture_checks_a_ransac_frame(framebench):
+    checks, _ = framebench
+    cfg = default_config()
+    frame = frame_from_cloud(make_random_cloud(3, 1500), "f")
+    with checks.PlaneCapture() as capture:
+        mask, _ = run_sliced(frame, "ransac", 1, 1, cfg)
+    assert capture.planes
+    assert checks.ransac_error(mask, frame.cloud.xyz, capture.planes, cfg.ransac) is None
+
+
+def test_spans_record_every_traced_layer(framebench):
+    _, trace_layers = framebench
+    cfg = default_config()
+    frame = frame_from_cloud(make_random_cloud(3, 1500), "f")
+    rec = trace_layers.Recorder()
+    spans = trace_layers.Spans(rec)
+    spans.install()
+    try:
+        for method in ("smrf", "ransac", "depth"):
+            run_sliced(frame, method, 1, 1, cfg)
+    finally:
+        spans.remove()
+    for key in ("seg_smrf.rasterize_ms", "seg_ransac.ms", "ransac.accepted",
+                "range_image.project_ms"):
+        assert rec.frame.get(key, 0) > 0, key

@@ -58,7 +58,7 @@ def test_degenerate_pipeline_equals_direct_call(fast_cfg):
     cloud = make_random_cloud(3, 1500)
     frame = frame_from_cloud(cloud, "f")
     mask, record = run_sliced(frame, "ransac", 1, 1, fast_cfg, seed=4)
-    direct = ransac_ground(cloud, fast_cfg.ransac.iterations,
+    direct = ransac_ground(cloud.xyz, fast_cfg.ransac.iterations,
                            fast_cfg.ransac.dist_threshold,
                            fast_cfg.ransac.max_normal_tilt, rng_seed=4)
     np.testing.assert_array_equal(mask, direct)
@@ -74,16 +74,25 @@ def test_degenerate_pipeline_equals_direct_call(fast_cfg):
     np.testing.assert_array_equal(mask_d, want)
 
 
-@pytest.mark.parametrize("method", ["depth", "ransac", "smrf"])
-def test_all_unit_counts_bit_identical(method, fast_cfg, process_pool):
-    cloud = make_random_cloud(11, 2200)
-    frame = frame_from_cloud(cloud, "f")
-    ref, _ = run_sliced(frame, method, 5, 1, fast_cfg, seed=2)
+def assert_unit_counts_bit_identical(method, cfg, executor):
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    ref, _ = run_sliced(frame, method, 5, 1, cfg, seed=2)
     for p in (2, 3, 5):
-        got, rec = run_sliced(frame, method, 5, p, fast_cfg, seed=2,
-                              executor=process_pool)
+        got, rec = run_sliced(frame, method, 5, p, cfg, seed=2, executor=executor)
         np.testing.assert_array_equal(got, ref)
         assert rec.units == p
+
+
+@pytest.mark.parametrize("method", ["depth", "ransac", "smrf"])
+def test_all_unit_counts_bit_identical(method, fast_cfg, process_pool):
+    assert_unit_counts_bit_identical(method, fast_cfg, process_pool)
+
+
+@pytest.mark.parametrize("method", ["depth", "ransac", "smrf"])
+def test_all_unit_counts_bit_identical_on_serial_units(method, fast_cfg):
+    with SliceExecutor(5, "serial") as executor:
+        assert_unit_counts_bit_identical(method, fast_cfg, executor)
+        assert executor.frame_buffer_name is None  # depth views are passed as they are
 
 
 def test_ssl_frame_native_grid(fast_cfg, process_pool):
@@ -142,10 +151,9 @@ def test_empty_slice_is_vacuous(fast_cfg):
                            rng.uniform(-2.0, -1.0, 60)])
     # make one sector empty by construction: all azimuths in two tight bands
     xyz[30:, 1] += 8.0
-    cloud = PointCloud(xyz=xyz, intensity=np.zeros(60))
-    parts = partition_azimuth(cloud, 5)
+    parts = partition_azimuth(xyz, 5)
     assert any(p.size == 0 for p in parts)
-    frame = frame_from_cloud(cloud, "f")
+    frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=np.zeros(60)), "f")
     mask, _ = run_sliced(frame, "smrf", 5, 1, fast_cfg)
     assert mask.size == 60
 
@@ -163,9 +171,8 @@ def test_per_slice_seed_derivation(fast_cfg):
     seed = 17
     mask, _ = run_sliced(frame, "ransac", 3, 1, fast_cfg, seed=seed)
     want = np.zeros(len(cloud), dtype=bool)
-    for s, idx in enumerate(partition_azimuth(cloud, 3)):
-        sub = PointCloud(xyz=cloud.xyz[idx], intensity=np.zeros(idx.size))
-        want[idx] = ransac_ground(sub, fast_cfg.ransac.iterations,
+    for s, idx in enumerate(partition_azimuth(cloud.xyz, 3)):
+        want[idx] = ransac_ground(cloud.xyz[idx], fast_cfg.ransac.iterations,
                                   fast_cfg.ransac.dist_threshold,
                                   fast_cfg.ransac.max_normal_tilt,
                                   rng_seed=seed ^ s)
@@ -323,6 +330,36 @@ def test_dead_unit_raises_and_close_still_unlinks(fast_cfg, dying_task):
         executor.close()
     assert executor.frame_buffer_name is None
     assert not _segment_exists(name)
+
+
+@pytest.mark.parametrize("backend", ["process", "serial"])
+def test_closed_executor_raises(backend, fast_cfg):
+    # depth fails in `depth_slices`, smrf in `run_units`
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    executor = SliceExecutor(2, backend)
+    executor.close()
+    for method in ("depth", "smrf"):
+        with pytest.raises(RuntimeError, match="executor is closed"):
+            run_sliced(frame, method, 4, 2, fast_cfg, executor=executor)
+
+
+def test_warm_up_death_raises_unit_died_and_exits(tmp_path):
+    # without a __main__ guard each spawned unit runs the script again and
+    # dies while bootstrapping, inside the executor's warm-up
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src_dir!r})
+        from groundslice.parallel_exec import SliceExecutor
+        SliceExecutor(2, "process").close()
+    """))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode != 0
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: a processing unit died"), out.stderr[-2000:]
 
 
 def test_unit_maps_a_new_buffer_after_a_failed_slice():

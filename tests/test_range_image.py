@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundslice.kitti_io import PointCloud
 from groundslice.range_image import (EMPTY, merge_masks, partition_azimuth,
                                      project_spherical, slice_columns,
                                      slice_intervals)
@@ -13,16 +12,15 @@ from groundslice.range_image import (EMPTY, merge_masks, partition_azimuth,
 V_SPAN = (math.radians(2.0), math.radians(-24.8))
 
 
-def cloud_of(xyz):
-    xyz = np.asarray(xyz, dtype=float)
-    return PointCloud(xyz=xyz, intensity=np.zeros(len(xyz)))
+def as_xyz(points):
+    return np.asarray(points, dtype=float)
 
 
-def binning_oracle(cloud, rows, cols, v_span):
+def binning_oracle(xyz, rows, cols, v_span):
     """Per-point loop: recompute every bin directly, apply nearest-wins."""
     v_top, v_bottom = v_span
     best = {}
-    for i, (x, y, z) in enumerate(cloud.xyz):
+    for i, (x, y, z) in enumerate(xyz):
         rng = math.sqrt(x * x + y * y + z * z)
         if rng == 0:
             continue
@@ -38,7 +36,7 @@ def binning_oracle(cloud, rows, cols, v_span):
 
 
 def test_single_axis_aligned_point():
-    image = project_spherical(cloud_of([[10.0, 0.0, 0.0]]), 64, 1024, V_SPAN)
+    image = project_spherical(as_xyz([[10.0, 0.0, 0.0]]), 64, 1024, V_SPAN)
     v_top, v_bottom = V_SPAN
     row = int(math.floor((v_top - 0.0) / (v_top - v_bottom) * 64))
     col = int(math.floor((0.0 + math.pi) / (2 * math.pi) * 1024))
@@ -48,7 +46,7 @@ def test_single_axis_aligned_point():
 
 
 def test_nearest_wins_on_collision():
-    image = project_spherical(cloud_of([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
+    image = project_spherical(as_xyz([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
                               64, 1024, V_SPAN)
     filled = image.point_index[image.point_index != EMPTY]
     assert filled.tolist() == [1]
@@ -59,10 +57,9 @@ def test_projection_matches_binning_oracle(rng):
     n = 100
     xyz = rng.normal(scale=15.0, size=(n, 3))
     xyz[:, 2] = rng.uniform(-6.0, 1.0, n)
-    cloud = cloud_of(xyz)
     rows, cols = 16, 90
-    image = project_spherical(cloud, rows, cols, V_SPAN)
-    oracle = binning_oracle(cloud, rows, cols, V_SPAN)
+    image = project_spherical(xyz, rows, cols, V_SPAN)
+    oracle = binning_oracle(xyz, rows, cols, V_SPAN)
     got = {(r, c): (image.range_m[r, c], image.point_index[r, c])
            for r, c in zip(*np.nonzero(image.point_index != EMPTY))}
     assert set(got) == set(oracle)
@@ -81,10 +78,9 @@ def test_projection_collisions_match_binning_oracle(rng):
     xyz = np.concatenate([quad, quad * 1.5, quad * 0.75, quad * 0.75,
                           pair, pair * 1.25, single])
     xyz = xyz[rng.permutation(len(xyz))]
-    cloud = cloud_of(xyz)
     rows, cols = 16, 90
-    image = project_spherical(cloud, rows, cols, V_SPAN)
-    oracle = binning_oracle(cloud, rows, cols, V_SPAN)
+    image = project_spherical(xyz, rows, cols, V_SPAN)
+    oracle = binning_oracle(xyz, rows, cols, V_SPAN)
     filled = image.point_index != EMPTY
     assert filled.sum() == len(oracle) < len(xyz) - image.n_out_of_span
     got = {(r, c): (image.range_m[r, c], image.point_index[r, c])
@@ -96,18 +92,16 @@ def test_projection_collisions_match_binning_oracle(rng):
 
 def test_projection_deterministic(rng):
     xyz = rng.normal(scale=10.0, size=(500, 3))
-    cloud = cloud_of(xyz)
-    a = project_spherical(cloud, 32, 256, V_SPAN)
-    b = project_spherical(cloud, 32, 256, V_SPAN)
+    a = project_spherical(xyz, 32, 256, V_SPAN)
+    b = project_spherical(xyz, 32, 256, V_SPAN)
     np.testing.assert_array_equal(a.range_m, b.range_m)
     np.testing.assert_array_equal(a.point_index, b.point_index)
 
 
 def test_nonempty_pixels_reproject_into_own_bin(rng):
     xyz = rng.normal(scale=12.0, size=(800, 3))
-    cloud = cloud_of(xyz)
     rows, cols = 24, 128
-    image = project_spherical(cloud, rows, cols, V_SPAN)
+    image = project_spherical(xyz, rows, cols, V_SPAN)
     v_top, v_bottom = V_SPAN
     for r, c in zip(*np.nonzero(image.point_index != EMPTY)):
         x, y, z = image.xyz[r, c]
@@ -119,15 +113,15 @@ def test_nonempty_pixels_reproject_into_own_bin(rng):
 
 def test_out_of_span_counted(rng):
     xyz = np.array([[5.0, 0.0, 10.0], [5.0, 0.0, 0.0]])  # first is far above span
-    image = project_spherical(cloud_of(xyz), 8, 16, V_SPAN)
+    image = project_spherical(xyz, 8, 16, V_SPAN)
     assert image.n_out_of_span == 1
 
 
 def test_degenerate_configs():
     with pytest.raises(ValueError):
-        project_spherical(cloud_of([[1, 0, 0]]), 0, 10, V_SPAN)
+        project_spherical(as_xyz([[1, 0, 0]]), 0, 10, V_SPAN)
     with pytest.raises(ValueError):
-        project_spherical(cloud_of([[1, 0, 0]]), 10, 10, (0.1, 0.1))
+        project_spherical(as_xyz([[1, 0, 0]]), 10, 10, (0.1, 0.1))
 
 
 def test_slice_intervals_625_by_5():
@@ -162,7 +156,7 @@ def test_partition_property(cols, k):
 
 def test_slice_views_share_parent(rng):
     xyz = rng.normal(scale=12.0, size=(600, 3))
-    image = project_spherical(cloud_of(xyz), 16, 64, V_SPAN)
+    image = project_spherical(xyz, 16, 64, V_SPAN)
     spec, views = slice_columns(image, 3)
     for view, (lo, hi) in zip(views, spec.intervals):
         assert view.point_index.base is not None
@@ -172,7 +166,7 @@ def test_slice_views_share_parent(rng):
 
 
 def test_slice_out_of_range(rng):
-    image = project_spherical(cloud_of(rng.normal(size=(50, 3))), 8, 16, V_SPAN)
+    image = project_spherical(rng.normal(size=(50, 3)), 8, 16, V_SPAN)
     with pytest.raises(ValueError):
         slice_columns(image, 0)
     with pytest.raises(ValueError):
@@ -181,7 +175,7 @@ def test_slice_out_of_range(rng):
 
 def test_slicing_lossless_multiset(rng):
     xyz = rng.normal(scale=12.0, size=(700, 3))
-    image = project_spherical(cloud_of(xyz), 16, 100, V_SPAN)
+    image = project_spherical(xyz, 16, 100, V_SPAN)
     parent = np.sort(image.point_index[image.point_index != EMPTY])
     for k in range(1, 6):
         _, views = slice_columns(image, k)
@@ -191,12 +185,11 @@ def test_slicing_lossless_multiset(rng):
 
 def test_merge_all_ground_and_all_empty(rng):
     xyz = rng.normal(scale=12.0, size=(400, 3))
-    cloud = cloud_of(xyz)
-    image = project_spherical(cloud, 16, 64, V_SPAN)
+    image = project_spherical(xyz, 16, 64, V_SPAN)
     spec, views = slice_columns(image, 4)
     full = [np.ones((v.rows, v.cols), dtype=bool) for v in views]
     merged = merge_masks(full, image, spec)
-    projected = np.zeros(len(cloud), dtype=bool)
+    projected = np.zeros(len(xyz), dtype=bool)
     projected[image.point_index[image.point_index != EMPTY]] = True
     np.testing.assert_array_equal(merged, projected)  # losers stay non-ground
     empty = [np.zeros((v.rows, v.cols), dtype=bool) for v in views]
@@ -205,14 +198,13 @@ def test_merge_all_ground_and_all_empty(rng):
 
 def test_merge_matches_ownership_oracle(rng):
     xyz = rng.normal(scale=12.0, size=(500, 3))
-    cloud = cloud_of(xyz)
-    image = project_spherical(cloud, 12, 90, V_SPAN)
+    image = project_spherical(xyz, 12, 90, V_SPAN)
     spec, views = slice_columns(image, 3)
     masks = [rng.uniform(size=(v.rows, v.cols)) < 0.4 for v in views]
     merged = merge_masks(masks, image, spec)
 
     # oracle: walk every pixel of the unsliced image, find its owning interval
-    oracle = np.zeros(len(cloud), dtype=bool)
+    oracle = np.zeros(len(xyz), dtype=bool)
     for r in range(image.rows):
         for c in range(image.cols):
             idx = image.point_index[r, c]
@@ -227,7 +219,7 @@ def test_merge_matches_ownership_oracle(rng):
 
 
 def test_merge_dimension_mismatch(rng):
-    image = project_spherical(cloud_of(rng.normal(size=(100, 3))), 8, 30, V_SPAN)
+    image = project_spherical(rng.normal(size=(100, 3)), 8, 30, V_SPAN)
     spec, views = slice_columns(image, 2)
     bad = [np.zeros((8, 1), dtype=bool), np.zeros((8, 15), dtype=bool)]
     with pytest.raises(ValueError):
@@ -236,8 +228,7 @@ def test_merge_dimension_mismatch(rng):
 
 def test_partition_azimuth_covers_and_orders(rng):
     xyz = rng.normal(scale=10.0, size=(300, 3))
-    cloud = cloud_of(xyz)
-    parts = partition_azimuth(cloud, 4)
+    parts = partition_azimuth(xyz, 4)
     assembled = np.sort(np.concatenate(parts))
     np.testing.assert_array_equal(assembled, np.arange(300))
     for p in parts:
@@ -253,7 +244,7 @@ def test_range_matches_eager_projection_range(rows, cols):
     from groundslice.synthetic import make_street_scene, simulate_scan
 
     xyz, _, _ = simulate_scan(make_street_scene(3), (0.0, 0.0), seed=5)
-    image = project_spherical(cloud_of(xyz), rows, cols, V_SPAN)
+    image = project_spherical(xyz, rows, cols, V_SPAN)
     if cols == 360:  # bins collide at this size: losers must not leak into range_m
         assert np.count_nonzero(image.point_index != EMPTY) < len(xyz) - image.n_out_of_span
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundslice.config import DepthConfig
-from groundslice.kitti_io import PointCloud
 from groundslice.range_image import merge_masks, project_spherical, slice_columns
 from groundslice.seg_depth import (AngleImage, bfs_ground_label,
                                    compute_angle_image, depth_segment_image,
@@ -30,13 +29,11 @@ def flat_plane_cloud(z=-1.7, rows=64, cols=360, sensor_height=1.73):
             continue
         for a in azim:
             pts.append((d * math.cos(a), d * math.sin(a), z))
-    xyz = np.array(pts)
-    return PointCloud(xyz=xyz, intensity=np.zeros(len(xyz)))
+    return np.array(pts)
 
 
 def test_flat_plane_angles_below_one_degree():
-    cloud = flat_plane_cloud()
-    image = project_spherical(cloud, 64, 360, V_SPAN)
+    image = project_spherical(flat_plane_cloud(), 64, 360, V_SPAN)
     angles = compute_angle_image(image, sensor_height=1.7)
     assert angles.valid.any()
     assert np.degrees(angles.angle[angles.valid].max()) < 1.0
@@ -46,8 +43,7 @@ def test_vertical_wall_angles_near_ninety():
     # constant planar distance, increasing z: a wall slice in one column
     zs = np.linspace(-1.0, 2.0, 12)
     xyz = np.array([[5.0, 0.0, z] for z in zs])
-    cloud = PointCloud(xyz=xyz, intensity=np.zeros(len(xyz)))
-    image = project_spherical(cloud, 48, 64, (math.radians(25), math.radians(-25)))
+    image = project_spherical(xyz, 48, 64, (math.radians(25), math.radians(-25)))
     angles = compute_angle_image(image, sensor_height=1.73)
     col_angles = angles.angle[angles.valid]
     # all but the virtual-seeded bottom entry are exactly vertical steps
@@ -375,8 +371,7 @@ def test_bfs_rejects_bad_thresholds():
 
 def test_flat_plane_slicing_exactly_stable():
     """Merged K-slice mask equals the unsliced mask on a flat-plane frame."""
-    cloud = flat_plane_cloud(rows=32, cols=180)
-    image = project_spherical(cloud, 32, 180, V_SPAN)
+    image = project_spherical(flat_plane_cloud(rows=32, cols=180), 32, 180, V_SPAN)
     cfg = DepthConfig()
     ref_spec, ref_views = slice_columns(image, 1)
     ref = merge_masks([depth_segment_image(ref_views[0], cfg)], image, ref_spec)

@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from groundslice.kitti_io import PointCloud
 from groundslice.seg_ransac import (PlaneModel, count_inliers, fit_plane_3pts,
                                     ransac_ground)
 
 
-def cloud_of(xyz):
-    xyz = np.asarray(xyz, dtype=float)
-    return PointCloud(xyz=xyz, intensity=np.zeros(len(xyz)))
+def as_xyz(points):
+    return np.asarray(points, dtype=float)
 
 
 def test_fit_xy_plane():
@@ -53,30 +51,28 @@ def test_fit_degenerate_triples():
 
 def test_inliers_exactly_on_plane(rng):
     xy = rng.uniform(-10, 10, size=(100, 2))
-    cloud = cloud_of(np.column_stack([xy, np.zeros(100)]))
+    xyz = np.column_stack([xy, np.zeros(100)])
     plane = PlaneModel(normal=np.array([0.0, 0.0, 1.0]), d=0.0)
-    count, mask = count_inliers(cloud, plane, 0.1)
+    count, mask = count_inliers(xyz, plane, 0.1)
     assert count == 100
     assert mask.all()
 
 
 def test_inlier_boundary_is_closed():
-    cloud = cloud_of([[0, 0, 0.2]])
     plane = PlaneModel(normal=np.array([0.0, 0.0, 1.0]), d=0.0)
-    count, _ = count_inliers(cloud, plane, 0.2)
+    count, _ = count_inliers(as_xyz([[0, 0, 0.2]]), plane, 0.2)
     assert count == 1
 
 
 def test_inliers_match_pointwise_oracle(rng):
     xyz = rng.normal(scale=4.0, size=(300, 3))
-    cloud = cloud_of(xyz)
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
     if n[2] < 0:
         n = -n
     plane = PlaneModel(normal=n, d=float(rng.normal()))
     thr = 0.5
-    _, mask = count_inliers(cloud, plane, thr)
+    _, mask = count_inliers(xyz, plane, thr)
     for i, p in enumerate(xyz):
         want = abs(n[0] * p[0] + n[1] * p[1] + n[2] * p[2] + plane.d) <= thr
         assert mask[i] == want
@@ -84,24 +80,23 @@ def test_inliers_match_pointwise_oracle(rng):
 
 def test_perfect_plane_recovered_any_seed(rng):
     xy = rng.uniform(-20, 20, size=(500, 2))
-    cloud = cloud_of(np.column_stack([xy, np.full(500, -1.6)]))
+    xyz = np.column_stack([xy, np.full(500, -1.6)])
     for seed in (0, 1, 99):
-        mask = ransac_ground(cloud, iterations=50, dist_threshold=0.2,
+        mask = ransac_ground(xyz, iterations=50, dist_threshold=0.2,
                              max_normal_tilt=math.radians(15), rng_seed=seed)
         assert mask.all()
 
 
 def test_too_few_points():
     with pytest.raises(ValueError):
-        ransac_ground(cloud_of([[0, 0, 0], [1, 1, 1]]), 10, 0.1,
+        ransac_ground(as_xyz([[0, 0, 0], [1, 1, 1]]), 10, 0.1,
                       math.radians(15), 0)
 
 
 def test_deterministic_for_fixed_seed(rng):
     xyz = rng.normal(scale=8.0, size=(400, 3))
-    cloud = cloud_of(xyz)
-    a = ransac_ground(cloud, 100, 0.3, math.radians(20), rng_seed=7)
-    b = ransac_ground(cloud, 100, 0.3, math.radians(20), rng_seed=7)
+    a = ransac_ground(xyz, 100, 0.3, math.radians(20), rng_seed=7)
+    b = ransac_ground(xyz, 100, 0.3, math.radians(20), rng_seed=7)
     np.testing.assert_array_equal(a, b)
 
 
@@ -109,17 +104,16 @@ def test_tilt_gate_rejects_steep_planes(rng):
     # all points on a vertical wall: no acceptable model -> all false
     ys = rng.uniform(-5, 5, 100)
     zs = rng.uniform(-2, 2, 100)
-    cloud = cloud_of(np.column_stack([np.full(100, 3.0), ys, zs]))
-    mask = ransac_ground(cloud, 100, 0.2, math.radians(15), rng_seed=0)
+    xyz = np.column_stack([np.full(100, 3.0), ys, zs])
+    mask = ransac_ground(xyz, 100, 0.2, math.radians(15), rng_seed=0)
     assert not mask.any()
 
 
-def exhaustive_oracle(cloud, dist_threshold, max_tilt):
+def exhaustive_oracle(xyz, dist_threshold, max_tilt):
     """Evaluate every 3-index sample under the same acceptance rule."""
-    xyz = cloud.xyz
     cos_limit = math.cos(max_tilt)
-    best_count, best_mask = 0, np.zeros(len(cloud), dtype=bool)
-    for i, j, k in itertools.combinations(range(len(cloud)), 3):
+    best_count, best_mask = 0, np.zeros(len(xyz), dtype=bool)
+    for i, j, k in itertools.combinations(range(len(xyz)), 3):
         normal = np.cross(xyz[j] - xyz[i], xyz[k] - xyz[i])
         norm = np.linalg.norm(normal)
         if norm <= 1e-12:
@@ -144,14 +138,14 @@ def plane_plus_outliers(rng, n_plane=48, n_out=12, thr=0.2):
     out_z = -1.5 + rng.choice([-1, 1], n_out) * rng.uniform(5 * thr, 4.0, n_out)
     outliers = np.column_stack([out_xy, out_z])
     xyz = np.concatenate([plane_pts, outliers])
-    return cloud_of(xyz[rng.permutation(len(xyz))])
+    return xyz[rng.permutation(len(xyz))]
 
 
 def test_matches_exhaustive_oracle_small(rng):
-    cloud = plane_plus_outliers(rng)
+    xyz = plane_plus_outliers(rng)
     thr, tilt = 0.2, math.radians(15)
-    want = exhaustive_oracle(cloud, thr, tilt)
-    got = ransac_ground(cloud, iterations=200, dist_threshold=thr,
+    want = exhaustive_oracle(xyz, thr, tilt)
+    got = ransac_ground(xyz, iterations=200, dist_threshold=thr,
                         max_normal_tilt=tilt, rng_seed=3)
     np.testing.assert_array_equal(got, want)
 
@@ -181,15 +175,14 @@ def test_slice_degradation_direction(rng):
         truth = np.zeros(len(xyz), dtype=bool)
         truth[:n_g] = True
         order = r.permutation(len(xyz))
-        cloud, truth = cloud_of(xyz[order]), truth[order]
+        xyz, truth = xyz[order], truth[order]
 
         def run(k):
-            mask = np.zeros(len(cloud), dtype=bool)
-            for s, idx in enumerate(partition_azimuth(cloud, k)):
+            mask = np.zeros(len(xyz), dtype=bool)
+            for s, idx in enumerate(partition_azimuth(xyz, k)):
                 if idx.size < 3:
                     continue
-                sub = cloud_of(cloud.xyz[idx])
-                mask[idx] = ransac_ground(sub, 120, 0.2, math.radians(15),
+                mask[idx] = ransac_ground(xyz[idx], 120, 0.2, math.radians(15),
                                           rng_seed=9 ^ s)
             return iou(confusion(mask, truth))
 
@@ -200,5 +193,5 @@ def test_slice_degradation_direction(rng):
 def test_all_degenerate_samples_return_all_false():
     # every triple of a collinear cloud is degenerate: no model, no error
     xyz = np.array([[t, 2 * t, -1.0 + 0.0 * t] for t in np.linspace(0, 9, 12)])
-    mask = ransac_ground(cloud_of(xyz), 50, 0.2, math.radians(15), rng_seed=1)
+    mask = ransac_ground(xyz, 50, 0.2, math.radians(15), rng_seed=1)
     assert not mask.any()

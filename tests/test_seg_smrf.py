@@ -14,16 +14,14 @@ from scipy.spatial import cKDTree
 
 import groundslice
 from groundslice.config import SmrfConfig
-from groundslice.kitti_io import PointCloud
 from groundslice.seg_smrf import (SmrfGrid, _inpaint_nearest, classify_points,
                                   local_slope, morphological_open,
                                   progressive_open, rasterize_min_surface,
                                   smrf_segment)
 
 
-def cloud_of(xyz):
-    xyz = np.asarray(xyz, dtype=float)
-    return PointCloud(xyz=xyz, intensity=np.zeros(len(xyz)))
+def as_xyz(points):
+    return np.asarray(points, dtype=float)
 
 
 def grid_of(surface, cell_size=1.0):
@@ -39,14 +37,14 @@ def grid_of(surface, cell_size=1.0):
 # ---------------------------------------------------------------------------
 
 def test_single_point_single_cell():
-    grid = rasterize_min_surface(cloud_of([[0.3, 0.4, 2.0]]), 1.0)
+    grid = rasterize_min_surface(as_xyz([[0.3, 0.4, 2.0]]), 1.0)
     assert grid.shape == (1, 1)
     assert grid.elevation[0, 0] == 2.0
     assert grid.occupied[0, 0]
 
 
 def test_min_rule_within_cell():
-    grid = rasterize_min_surface(cloud_of([[0.2, 0.2, 5.0], [0.4, 0.4, 3.0]]), 1.0)
+    grid = rasterize_min_surface(as_xyz([[0.2, 0.2, 5.0], [0.4, 0.4, 3.0]]), 1.0)
     assert grid.elevation[0, 0] == 3.0
 
 
@@ -54,7 +52,7 @@ def test_rasterize_matches_bucket_oracle(rng):
     xyz = np.column_stack([rng.uniform(0, 20, 200), rng.uniform(0, 12, 200),
                            rng.uniform(-3, 3, 200)])
     cell = 1.5
-    grid = rasterize_min_surface(cloud_of(xyz), cell)
+    grid = rasterize_min_surface(xyz, cell)
     buckets = {}
     min_x, min_y = xyz[:, 0].min(), xyz[:, 1].min()
     for x, y, z in xyz:
@@ -70,7 +68,7 @@ def test_rasterize_matches_bucket_oracle(rng):
 def test_inpainting_fills_everything(rng):
     xyz = np.column_stack([rng.uniform(0, 30, 40), rng.uniform(0, 30, 40),
                            rng.uniform(-2, 2, 40)])
-    grid = rasterize_min_surface(cloud_of(xyz), 1.0)
+    grid = rasterize_min_surface(xyz, 1.0)
     assert np.isfinite(grid.elevation).all()
     np.testing.assert_array_equal(grid.inpainted, ~grid.occupied)
 
@@ -78,7 +76,7 @@ def test_inpainting_fills_everything(rng):
 def test_inpainting_tie_takes_lower_elevation():
     # occupied cells 0 and 4 of a 5-cell row: cell 2 is an exact tie
     pts = [[0.5, 0.5, 2.0], [5.3, 0.5, -1.0]]
-    grid = rasterize_min_surface(cloud_of(pts), 1.0)
+    grid = rasterize_min_surface(as_xyz(pts), 1.0)
     assert grid.shape == (1, 5)
     assert grid.occupied[0, 0] and grid.occupied[0, 4]
     assert grid.elevation[0, 2] == -1.0  # tie resolves to the lower value
@@ -168,10 +166,10 @@ def test_far_outlier_fill_matches_oracle_in_linear_memory():
     r = np.random.default_rng(8)
     patch = np.column_stack([r.uniform(0, 20, 400), r.uniform(0, 20, 400),
                              r.uniform(-0.2, 0.2, 400)])
-    cloud = cloud_of(np.vstack([patch, [[5000.0, 10.0, 1.0]]]))
+    xyz = np.vstack([patch, [[5000.0, 10.0, 1.0]]])
     tracemalloc.start()
     try:
-        grid = rasterize_min_surface(cloud, 0.5)
+        grid = rasterize_min_surface(xyz, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,9 +191,9 @@ def test_cli_import_leaves_scipy_spatial_out():
 
 def test_rasterize_rejects_bad_input():
     with pytest.raises(ValueError):
-        rasterize_min_surface(cloud_of(np.empty((0, 3))), 1.0)
+        rasterize_min_surface(np.empty((0, 3)), 1.0)
     with pytest.raises(ValueError):
-        rasterize_min_surface(cloud_of([[0, 0, 0]]), 0.0)
+        rasterize_min_surface(as_xyz([[0, 0, 0]]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +362,22 @@ def test_progressive_open_validates():
 def test_points_on_surface_are_ground(rng):
     xyz = np.column_stack([rng.uniform(0, 10, 120), rng.uniform(0, 10, 120),
                            np.zeros(120)])
-    grid = rasterize_min_surface(cloud_of(xyz), 1.0)
-    mask = classify_points(cloud_of(xyz), grid, grid.elevation, 0.0, 0.0)
+    grid = rasterize_min_surface(xyz, 1.0)
+    mask = classify_points(xyz, grid, grid.elevation, 0.0, 0.0)
     assert mask.all()
 
 
 def test_point_far_above_surface_not_ground():
     base = [[x + 0.5, y + 0.5, 0.0] for x in range(5) for y in range(5)]
     probe = [[2.5, 2.5, 10.0]]
-    grid = rasterize_min_surface(cloud_of(base), 1.0)
-    mask = classify_points(cloud_of(probe), grid, grid.elevation, 0.5, 0.0)
+    grid = rasterize_min_surface(as_xyz(base), 1.0)
+    mask = classify_points(as_xyz(probe), grid, grid.elevation, 0.5, 0.0)
     assert not mask[0]
 
 
 def test_point_outside_bounds_not_ground():
-    grid = rasterize_min_surface(cloud_of([[0, 0, 0], [4, 4, 0]]), 1.0)
-    mask = classify_points(cloud_of([[40.0, 40.0, 0.0]]), grid,
+    grid = rasterize_min_surface(as_xyz([[0, 0, 0], [4, 4, 0]]), 1.0)
+    mask = classify_points(as_xyz([[40.0, 40.0, 0.0]]), grid,
                            grid.elevation, 5.0, 0.0)
     assert not mask[0]
 
@@ -389,12 +387,11 @@ def test_classify_matches_pointwise_oracle(rng):
     n = 400
     xyz = np.column_stack([rng.uniform(0, 20, n), rng.uniform(0, 20, n),
                            rng.uniform(-1, 2, n)])
-    cloud = cloud_of(xyz)
-    grid = rasterize_min_surface(cloud, 2.0)
+    grid = rasterize_min_surface(xyz, 2.0)
     bare = np.add.outer(np.arange(grid.shape[0]) * 0.1,
                         np.arange(grid.shape[1]) * 0.05)
     thr, scale = 0.4, 1.25
-    mask = classify_points(cloud, grid, bare, thr, scale)
+    mask = classify_points(xyz, grid, bare, thr, scale)
 
     ny, nx = grid.shape
     for i, (x, y, z) in enumerate(xyz):
@@ -419,13 +416,13 @@ def test_smrf_segment_flat_with_boxes(rng):
     box = np.column_stack([rng.uniform(3, 6, 300), rng.uniform(3, 6, 300),
                            rng.uniform(0.5, 1.5, 300)])
     xyz = np.concatenate([ground, box])
-    mask = smrf_segment(cloud_of(xyz), SmrfConfig(cell_size=1.0, max_window_radius=6))
+    mask = smrf_segment(xyz, SmrfConfig(cell_size=1.0, max_window_radius=6))
     assert mask[:3000].mean() > 0.98
     assert mask[3000:].mean() < 0.05
 
 
 def test_smrf_segment_empty_cloud():
-    assert smrf_segment(cloud_of(np.empty((0, 3))), SmrfConfig()).size == 0
+    assert smrf_segment(np.empty((0, 3)), SmrfConfig()).size == 0
 
 
 def test_slice_fragility_direction():
@@ -444,7 +441,7 @@ def test_slice_fragility_direction():
         scene = make_street_scene(seed, traffic=True)
         xyz, inten, classes = simulate_scan(scene, (0.0, 0.0),
                                             seed=seed, rows=32, cols=360)
-        frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=inten))
+        frame = frame_from_cloud(groundslice.PointCloud(xyz=xyz, intensity=inten))
         truth = np.isin(classes, (40, 44, 48))
         for method, deltas in changes.items():
             k1, k2 = (iou(confusion(run_sliced(frame, method, k, 1, cfg)[0],
