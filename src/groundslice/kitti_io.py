@@ -74,12 +74,18 @@ def load_velodyne_bin(path) -> tuple[PointCloud, np.ndarray]:
         raise ValueError(
             f"malformed scan {path}: {n_bytes} bytes is not a multiple of {_SCAN_RECORD_BYTES}"
         )
-    raw = np.fromfile(path, dtype="<f4")
-    records = raw.reshape(-1, 4).astype(np.float64)
-    finite = np.all(np.isfinite(records), axis=1)
-    dropped = np.nonzero(~finite)[0]
-    kept = records[finite]
-    return PointCloud(xyz=kept[:, :3], intensity=kept[:, 3]), dropped
+    records = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+    finite = np.isfinite(records)
+    if finite.all():  # the common case: no per-record test, no gather
+        dropped = np.empty(0, dtype=np.intp)
+    else:
+        kept = finite.all(axis=1)
+        dropped = np.flatnonzero(~kept)
+        records = records[kept]
+    # float32 -> float64 once per field, straight into C-contiguous arrays
+    xyz = records[:, :3].astype(np.float64, order="C")
+    intensity = records[:, 3].astype(np.float64)
+    return PointCloud(xyz=xyz, intensity=intensity), dropped
 
 
 def save_velodyne_bin(cloud: PointCloud, path) -> None:

@@ -299,7 +299,8 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
     Returns the merged per-point ground mask and a timing record. The wall
     time covers slicing, per-slice segmentation and the merge; input
     preparation (projection, decoding) happens before the clock starts.
-    P = 1 always runs inline regardless of executor.
+    P = 1 always runs inline regardless of executor. At K = 1 a point method
+    segments `frame.cloud.xyz` itself, with no azimuth partition.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -317,6 +318,9 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
             spec, data = slice_columns(image, k)
             if p > 1 and executor is not None:
                 data = executor.depth_slices(image, spec, data)
+        elif k == 1:
+            # one sector holds every point in order: no partition, gather or scatter
+            data = [frame.cloud.xyz]
         else:
             slice_idx = partition_azimuth(frame.cloud.xyz, k)
             data = [frame.cloud.xyz[idx] for idx in slice_idx]
@@ -325,6 +329,8 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
         results = _dispatch(tasks, allocation, p, executor)
         if method == "depth":
             mask = merge_masks([results[s] for s in range(k)], image, spec)
+        elif k == 1:
+            mask = results[0]
         else:
             mask = np.zeros(len(frame.cloud), dtype=bool)
             for s in range(k):

@@ -7,8 +7,10 @@ points are classified against the resulting bare-earth surface.
 
 Both grid stages are exact and linear in memory. Empty cells are inpainted
 from the Euclidean distance transform and the lattice ring at the nearest
-distance (lowest z wins a tie), with no k-d tree. The disk opening walks
-the disk's column strips, widening one vertical running min/max in place.
+distance (lowest z wins a tie), with no k-d tree. The progressive opening
+ranks the grid's values once and runs every disk min/max on the small
+integer ranks in a sentinel-padded flat buffer, walking the disk's column
+strips; the ranks map back to the same elevations.
 """
 
 from __future__ import annotations
@@ -58,12 +60,15 @@ def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
 
     Empty cells take the elevation of the nearest occupied cell by Euclidean
     cell-center distance; exact ties resolve to the smaller elevation (see
-    _inpaint_nearest).
+    _inpaint_nearest). Raises ValueError on an empty cloud or a NaN/inf
+    coordinate, which has no cell or no rank in the opening.
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
     if len(xyz) == 0:
         raise ValueError("cannot rasterize an empty cloud")
+    if not np.isfinite(xyz).all():
+        raise ValueError("cannot rasterize non-finite points")
     min_x, min_y = xyz[:, 0].min(), xyz[:, 1].min()
     max_x, max_y = xyz[:, 0].max(), xyz[:, 1].max()
     nx = max(1, int(np.ceil((max_x - min_x) / cell_size)))
@@ -163,39 +168,78 @@ def _ring_offsets(rings: np.ndarray, ny: int, nx: int):
     return (start, a, b) if ny <= nx else (start, b, a)
 
 
-def _disk_filter(surface: np.ndarray, radius: int, op) -> np.ndarray:
-    """op (np.minimum or np.maximum) over the disk around each cell.
+# Ranks of at most this many distinct values fit in int16 beside both sentinels.
+_INT16_RANKS = 32_766
 
-    Neighborhoods are clipped at the borders. Column offsets are walked
-    from |dx| = radius down to 0; the disk's column strip at |dx| has
-    half-height floor(sqrt(radius^2 - dx^2)), which only grows on the way,
-    so one vertical running reduction is widened a row at a time and folded
-    into the output's shifted column slices in place. Exactly the direct
-    neighborhood reduction, with two grid-sized temporaries.
+
+def _ranks(surface: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of surface and each cell's rank among them.
+
+    Ranks are int16 when the values fit beside the dtype's min and max, which
+    the disk filters use as sentinels, and int32 otherwise. values[ranks]
+    gives the surface back (a signed zero may come back as the other zero).
     """
-    ny, nx = surface.shape
-    strip = surface.copy()
-    out = surface.copy()  # the center is in every disk
-    h = 0
+    values, ranks = np.unique(surface.ravel(), return_inverse=True)
+    if values.size and np.isnan(values[-1]):
+        raise ValueError("surface holds NaN, which has no rank")
+    dtype = np.int16 if values.size <= _INT16_RANKS else np.int32
+    return values, ranks.astype(dtype).reshape(surface.shape)
+
+
+def _disk_filter(ranks: np.ndarray, radius: int, op) -> np.ndarray:
+    """op (np.minimum or np.maximum) over the disk around each cell of a rank grid.
+
+    The ranks sit in one flat C-contiguous buffer whose rows are led by
+    `radius` sentinel columns, with `radius` sentinel rows above and below;
+    the sentinel is op's identity (the dtype max for a minimum, min for a
+    maximum), so a neighborhood clipped at the border needs no bounds check
+    and every row or column shift is one contiguous 1-D ufunc call. Column
+    offsets are walked from |dx| = radius down to 0; the disk's column strip
+    at |dx| has half-height h = floor(sqrt(radius^2 - dx^2)), which only
+    grows on the way. The strip is a forward vertical window over rows
+    0..span, widened by doubling: op of the window and itself s rows down
+    (s <= span + 1) spans span + s. Shifted back by h rows and by +-dx
+    columns, it is folded into the output. Exactly the direct neighborhood
+    reduction; integer ranks make each call cheaper than on float64.
+    """
+    ny, nx = ranks.shape
+    stride = nx + radius
+    info = np.iinfo(ranks.dtype)
+    strip = np.full((ny + 2 * radius) * stride + radius,
+                    info.max if op is np.minimum else info.min, dtype=ranks.dtype)
+    lo, n = radius * stride, ny * stride  # the grid's rows, sentinel columns first
+    strip[lo:lo + n].reshape(ny, stride)[:, radius:] = ranks
+    out = strip[lo:lo + n].copy()  # the center is in every disk
+    spare = np.empty_like(strip)
+    span = 0
     for dx in range(radius, -1, -1):
-        while h < math.isqrt(radius * radius - dx * dx):
-            h += 1
-            if h < ny:
-                op(strip[h:], surface[:-h], out=strip[h:])
-                op(strip[:-h], surface[h:], out=strip[:-h])
-        if dx == 0:
-            op(out, strip, out=out)
-        elif dx < nx:
-            op(out[:, :-dx], strip[:, dx:], out=out[:, :-dx])
-            op(out[:, dx:], strip[:, :-dx], out=out[:, dx:])
-    return out
+        h = math.isqrt(radius * radius - dx * dx)
+        while span < 2 * h:
+            s = min(2 * h - span, span + 1)
+            m = strip.size - (span + s) * stride
+            op(strip[:m], strip[s * stride:s * stride + m], out=spare[:m])
+            strip, spare = spare, strip
+            span += s
+        c = lo - h * stride  # the window's top row h rows up: centered on the cell
+        op(out, strip[c + dx:c + dx + n], out=out)
+        if dx:
+            op(out, strip[c - dx:c - dx + n], out=out)
+    return out.reshape(ny, stride)[:, radius:]
+
+
+def _open_ranks(ranks: np.ndarray, radius: int) -> np.ndarray:
+    return _disk_filter(_disk_filter(ranks, radius, np.minimum), radius, np.maximum)
 
 
 def morphological_open(surface: np.ndarray, radius: int) -> np.ndarray:
-    """Opening (erosion then dilation) with a disk of the given cell radius."""
+    """Opening (erosion then dilation) with a disk of the given cell radius.
+
+    Raises ValueError on a NaN cell; +-inf cells are ordinary values.
+    """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return _disk_filter(_disk_filter(surface, radius, np.minimum), radius, np.maximum)
+    values, ranks = _ranks(surface)
+    return values[_open_ranks(ranks, radius)]
 
 
 def progressive_open(grid: SmrfGrid, max_window_radius: int,
@@ -205,18 +249,26 @@ def progressive_open(grid: SmrfGrid, max_window_radius: int,
     At each radius w the surface is opened; cells whose elevation dropped by
     more than slope * w * cell_size are flagged non-ground and keep the
     opened elevation. Returns (non-ground cell mask, bare-earth surface).
+
+    The grid is ranked once: min and max commute with the order-preserving
+    map from values to ranks, and a flagged cell takes a value the surface
+    already held, so every opening runs on the ranks and a flagged cell
+    takes the opened rank with the opened value.
     """
     if max_window_radius < 1:
         raise ValueError("max_window_radius must be >= 1")
     if slope < 0:
         raise ValueError("slope must be non-negative")
+    values, ranks = _ranks(grid.elevation)
     surface = grid.elevation.copy()
     nonground = np.zeros(grid.shape, dtype=bool)
     for w in range(1, max_window_radius + 1):
-        opened = morphological_open(surface, w)
+        opened_rank = _open_ranks(ranks, w)
+        opened = values[opened_rank]
         flag = (surface - opened) > slope * w * grid.cell_size
         nonground |= flag
         surface[flag] = opened[flag]
+        ranks[flag] = opened_rank[flag]
     return nonground, surface
 
 

@@ -62,6 +62,37 @@ def test_nonfinite_points_dropped_with_indices(tmp_path):
     np.testing.assert_array_equal(cloud.xyz[:, 0], [1, 2])
 
 
+def load_oracle(path):
+    """The loader as a float64 (N, 4) copy and a boolean gather."""
+    records = np.fromfile(path, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    finite = np.all(np.isfinite(records), axis=1)
+    kept = records[finite]
+    return kept[:, :3], kept[:, 3], np.nonzero(~finite)[0]
+
+
+@pytest.mark.parametrize("bad_rows", [(), (0,), (128,), (256,), (0, 128, 256)],
+                         ids=["finite", "first", "middle", "last", "all_three"])
+def test_loader_matches_oracle_with_nonfinite_rows(tmp_path, rng, bad_rows):
+    records = rng.normal(size=(257, 4)).astype("<f4")
+    # NaN in x of the first row, +inf in z of the middle one, -inf intensity last
+    bad_field = {0: (0, np.nan), 128: (2, np.inf), 256: (3, -np.inf)}
+    for row in bad_rows:
+        col, bad = bad_field[row]
+        records[row, col] = bad
+    p = tmp_path / "scan.bin"
+    records.tofile(p)
+    cloud, dropped = load_velodyne_bin(p)
+    xyz, intensity, want_dropped = load_oracle(p)
+    np.testing.assert_array_equal(dropped, list(bad_rows))
+    assert dropped.dtype == want_dropped.dtype == np.int64
+    assert cloud.xyz.tobytes() == xyz.tobytes()
+    assert cloud.intensity.tobytes() == intensity.tobytes()
+    for arr, shape in ((cloud.xyz, (257 - len(bad_rows), 3)),
+                       (cloud.intensity, (257 - len(bad_rows),))):
+        assert arr.shape == shape and arr.dtype == np.float64
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
 def test_roundtrip_bit_identical(tmp_path, rng):
     records = rng.normal(size=(257, 4)).astype(np.float32)
     p1 = tmp_path / "a.bin"

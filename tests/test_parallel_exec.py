@@ -74,6 +74,30 @@ def test_degenerate_pipeline_equals_direct_call(fast_cfg):
     np.testing.assert_array_equal(mask_d, want)
 
 
+@pytest.mark.parametrize("method", ["ransac", "smrf"])
+def test_single_slice_segments_the_frame_xyz_itself(method, fast_cfg, monkeypatch):
+    from groundslice import parallel_exec
+
+    frame = frame_from_cloud(make_random_cloud(5, 1800), "f")
+    # the explicit partition path: one azimuth sector, gathered and scattered
+    (idx,) = partition_azimuth(frame.cloud.xyz, 1)
+    want = np.zeros(len(frame.cloud), dtype=bool)
+    want[idx] = parallel_exec._segment_slice(
+        (method, 0, frame.cloud.xyz[idx], getattr(fast_cfg, method), 7))
+
+    name = "ransac_ground" if method == "ransac" else "smrf_segment"
+    segment, received = getattr(parallel_exec, name), []
+
+    def recording(xyz, *args):
+        received.append(xyz)
+        return segment(xyz, *args)
+
+    monkeypatch.setattr(parallel_exec, name, recording)
+    mask, _ = run_sliced(frame, method, 1, 1, fast_cfg, seed=7)
+    assert len(received) == 1 and received[0] is frame.cloud.xyz
+    np.testing.assert_array_equal(mask, want)
+
+
 def assert_unit_counts_bit_identical(method, cfg, executor):
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
     ref, _ = run_sliced(frame, method, 5, 1, cfg, seed=2)

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 import groundslice
 from groundslice.config import SmrfConfig
-from groundslice.seg_smrf import (SmrfGrid, _inpaint_nearest, classify_points,
+from groundslice.seg_smrf import (SmrfGrid, _inpaint_nearest, _ranks, classify_points,
                                   local_slope, morphological_open,
                                   progressive_open, rasterize_min_surface,
                                   smrf_segment)
@@ -194,6 +194,12 @@ def test_rasterize_rejects_bad_input():
         rasterize_min_surface(np.empty((0, 3)), 1.0)
     with pytest.raises(ValueError):
         rasterize_min_surface(as_xyz([[0, 0, 0]]), 0.0)
+    for col in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            xyz = as_xyz([[0, 0, 0], [1, 2, 3], [2, 1, 0]])
+            xyz[1, col] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                rasterize_min_surface(xyz, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +302,68 @@ def test_opening_equals_strip_oracle_on_random_grids(ny, nx, radius, seed):
     surface = np.random.default_rng(seed).uniform(-3, 3, size=(ny, nx))
     np.testing.assert_array_equal(morphological_open(surface, radius),
                                   strip_open_oracle(surface, radius))
+
+
+def test_progressive_open_equals_strip_oracle_on_a_street_frame():
+    # the default config's grid of a 64x1024 street frame, every radius 1-18
+    from groundslice.config import default_config
+    from groundslice.synthetic import make_street_scene, simulate_scan
+
+    cfg = default_config().smrf
+    xyz, _, _ = simulate_scan(make_street_scene(3, traffic=True), (0.0, 0.0), seed=3)
+    grid = rasterize_min_surface(xyz, cfg.cell_size)
+    assert grid.shape[0] >= 100 and grid.shape[1] >= 100
+    got = progressive_open(grid, 18, cfg.slope)
+    want = progressive_oracle(grid, 18, cfg.slope, strip_open_oracle)
+    assert got[0].any()
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("radius", [1, 4, 18])
+def test_opening_with_int32_ranks_equals_strip_oracle(radius):
+    # more distinct values than int16 ranks hold beside the sentinels
+    surface = np.random.default_rng(radius).uniform(-3, 3, size=(200, 210))
+    assert np.unique(surface).size > 32_766
+    assert _ranks(surface)[1].dtype == np.int32
+    np.testing.assert_array_equal(morphological_open(surface, radius),
+                                  strip_open_oracle(surface, radius))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 5])
+def test_opening_with_infinite_cells_equals_oracles(radius):
+    r = np.random.default_rng(radius)
+    surface = r.integers(-8, 8, size=(12, 15)) * 0.25
+    surface[r.uniform(size=surface.shape) < 0.1] = np.inf
+    surface[r.uniform(size=surface.shape) < 0.1] = -np.inf
+    surface[0, 0], surface[-1, -1] = np.inf, -np.inf
+    got = morphological_open(surface, radius)
+    np.testing.assert_array_equal(got, open_oracle(surface, radius))
+    np.testing.assert_array_equal(got, strip_open_oracle(surface, radius))
+    grid = grid_of(surface, cell_size=0.5)
+    with np.errstate(invalid="ignore"):  # inf - inf where a cell keeps its inf
+        got = progressive_open(grid, radius, 0.15)
+        want = progressive_oracle(grid, radius, 0.15, strip_open_oracle)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 6), (7, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_opening_radius_beyond_both_sides_equals_oracles(shape):
+    surface = np.random.default_rng(shape[0] * 10 + shape[1]).uniform(-2, 2, size=shape)
+    radius = 2 * max(shape) + 1
+    got = morphological_open(surface, radius)
+    np.testing.assert_array_equal(got, open_oracle(surface, radius))
+    np.testing.assert_array_equal(got, strip_open_oracle(surface, radius))
+
+
+def test_opening_rejects_nan():
+    surface = np.zeros((3, 4))
+    surface[1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        morphological_open(surface, 1)
+    with pytest.raises(ValueError, match="NaN"):
+        progressive_open(grid_of(surface), 2, 0.15)
 
 
 def test_flat_surface_no_flags():
