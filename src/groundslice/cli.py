@@ -8,7 +8,6 @@ is reproducible from the manifest plus inputs alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
@@ -65,13 +64,6 @@ def _load_cfg(args) -> RunConfig:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     return default_config()
-
-
-def _executor(units: int, cfg: RunConfig):
-    """A pool of `units` processing units; P = 1 runs inline without one."""
-    if units > 1:
-        return SliceExecutor(units, cfg.parallel.backend)
-    return contextlib.nullcontext()
 
 
 def _iter_kitti_frames(args, cfg: RunConfig, with_labels: bool):
@@ -152,7 +144,7 @@ def cmd_segment(args) -> int:
               f"root={args.root} sequence={args.sequence} frames={args.frames}")
     manifest = [f"# groundslice segment method={args.method} slices={k} units={p} "
                 f"seed={args.seed} {source}", ""]
-    with _executor(p, cfg) as executor:
+    with SliceExecutor(p, cfg.parallel.backend) as executor:
         for frame, to_records in jobs:
             mask, record = run_sliced(frame, args.method, k, p, cfg,
                                       seed=args.seed, executor=executor)
@@ -187,7 +179,7 @@ def cmd_eval(args) -> int:
 
     frame_rows = []
     summary_rows = []
-    with _executor(args.units, cfg) as executor:
+    with SliceExecutor(args.units, cfg.parallel.backend) as executor:
         for method in methods:
             for k in slice_counts:
                 iou_values, f1_values = [], []
@@ -243,7 +235,7 @@ def cmd_bench(args) -> int:
     for frame in frames:
         baseline = time_baseline(frame, args.method, cfg, **timing)
         for p in unit_set:
-            with _executor(p, cfg) as executor:
+            with SliceExecutor(p, cfg.parallel.backend) as executor:
                 wall_ms = time_baseline(frame, args.method, cfg, **timing,
                                         k=k, p=p, executor=executor)
             rec = BenchmarkRecord(method=args.method, slices=k, units=p,

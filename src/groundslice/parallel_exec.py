@@ -8,9 +8,10 @@ seeds derive from the run seed xor the slice index before dispatch, so the
 merged mask never depends on scheduling: any (K, P) run is bit-identical to
 the (K, 1) run.
 
-Process units read depth slices from a shared-memory copy of the frame that
-the executor owns, so a depth task pickles to a small `FrameBand`; point
-slices are pickled whole.
+The caller runs the last unit's block itself: a P-unit `process` executor
+spawns P-1 workers, and `serial` none. A worker's depth slices read a
+shared-memory copy of their columns, so such a task pickles to a small
+`FrameBand`; point slices are pickled whole.
 """
 
 from __future__ import annotations
@@ -118,13 +119,13 @@ class SliceError(RuntimeError):
 class FrameBand(NamedTuple):
     """Column band [lo, hi) of a frame held in an executor's frame buffer.
 
-    A depth task for a process unit carries this instead of the band's view,
-    and the unit rebuilds the view that `slice_columns` gives.
+    A depth task for a worker carries this instead of the band's view, and
+    the worker rebuilds the view that `slice_columns` gives.
     """
 
     segment: str  # shared-memory name of the frame buffer
     rows: int
-    cols: int  # of the whole frame
+    cols: int  # of the buffer: the frame's leading, worker-bound columns
     lo: int
     hi: int
     azimuth_span: tuple[float, float]
@@ -185,19 +186,15 @@ def _run_unit(tasks) -> list[tuple[int, np.ndarray]]:
     return [(task[1], _segment_slice(task)) for task in tasks]
 
 
-def _noop():
-    return None
-
-
 class SliceExecutor:
-    """Reusable pool of processing units.
+    """Reusable pool of processing units; the caller is the last one.
 
-    backend "process" gives real parallelism (spawned workers, warmed up at
-    construction so pool startup never lands inside a timed region);
-    "serial" runs every unit inline, one after another. A process executor
-    also owns the shared-memory frame buffer its depth tasks read, created on
-    the first depth frame and unlinked by `close()`. A closed executor of
-    either backend raises `RuntimeError` instead of running slices.
+    backend "process" spawns units - 1 workers, warmed up at construction so
+    pool startup never lands inside a timed region, and runs the last unit
+    in the caller; "serial" has none and runs every unit in the caller. The
+    executor owns the shared-memory frame buffer its workers' depth tasks
+    read, unlinked by `close()`. A closed executor raises `RuntimeError`, and
+    so does one whose worker died: callers close it and build a new one.
     """
 
     def __init__(self, units: int, backend: str = "process"):
@@ -208,12 +205,12 @@ class SliceExecutor:
         self._closed = False
         self._frame_buffer: shared_memory.SharedMemory | None = None
         self._pool = None
-        if backend == "process":
+        if backend == "process" and units > 1:
             ctx = multiprocessing.get_context("spawn")
-            self._pool = ProcessPoolExecutor(max_workers=units, mp_context=ctx)
-            # force workers to exist before any timing happens
+            self._pool = ProcessPoolExecutor(max_workers=units - 1, mp_context=ctx)
+            # force workers to exist (each runs int()) before any timing happens
             try:
-                for fut in [self._pool.submit(_noop) for _ in range(units)]:
+                for fut in [self._pool.submit(int) for _ in range(units - 1)]:
                     fut.result()
             except BrokenProcessPool as exc:
                 self._pool.shutdown()
@@ -221,51 +218,55 @@ class SliceExecutor:
 
     @property
     def frame_buffer_name(self) -> str | None:
-        """Shared-memory name of the frame buffer; None before the first depth
-        frame on process units, and after `close()`."""
+        """Shared-memory name of the frame buffer, or None while there is none."""
         return None if self._frame_buffer is None else self._frame_buffer.name
 
     def _unit_died(self, exc: BrokenProcessPool) -> RuntimeError:
         return RuntimeError(f"a processing unit died; this {self.units}-unit "
                             f"executor cannot run again: {exc}")
 
-    def _check_open(self) -> None:
+    def _worker_units(self, unit_count: int) -> int:
+        """How many leading units of a run go to workers; the caller runs the rest."""
         if self._closed:
             raise RuntimeError(f"this {self.units}-unit executor is closed")
+        return 0 if self._pool is None else unit_count - 1
 
     def depth_slices(self, image: RangeImage, spec: SliceSpec,
-                     views: list[RangeImage]) -> list:
-        """What each depth task carries: its view, or on process units a band
-        of a copy of the frame in the frame buffer."""
-        self._check_open()
-        if self._pool is None:
+                     views: list[RangeImage], allocation: PuAllocation) -> list:
+        """What each depth task carries: a frame-buffer band for a worker, else its view."""
+        workers = self._worker_units(allocation.unit_count)
+        remote = sum(u < workers for u in allocation.assignment)
+        if remote == 0:
             return views
-        size = image.xyz.nbytes + image.point_index.nbytes
+        cols = spec.intervals[remote - 1][1]  # the worker-bound columns lead
+        size = image.xyz[:, :cols].nbytes + image.point_index[:, :cols].nbytes
         if self._frame_buffer is None or self._frame_buffer.size < size:
             self._release_frame_buffer()
             self._frame_buffer = shared_memory.SharedMemory(create=True, size=size)
-        xyz, point_index = _frame_arrays(self._frame_buffer.buf, image.rows, image.cols)
-        xyz[...] = image.xyz
-        point_index[...] = image.point_index
-        name = self._frame_buffer.name
-        return [FrameBand(name, image.rows, image.cols, lo, hi, view.azimuth_span,
+        xyz, point_index = _frame_arrays(self._frame_buffer.buf, image.rows, cols)
+        xyz[...] = image.xyz[:, :cols]
+        point_index[...] = image.point_index[:, :cols]
+        return [FrameBand(self._frame_buffer.name, image.rows, cols, lo, hi, view.azimuth_span,
                           view.vertical_span, view.n_points)
-                for (lo, hi), view in zip(spec.intervals, views)]
+                for (lo, hi), view in zip(spec.intervals[:remote], views)] + views[remote:]
 
     def run_units(self, unit_tasks: list[list]) -> list[list[tuple[int, np.ndarray]]]:
-        self._check_open()
-        if self._pool is None:
-            return [_run_unit(tasks) for tasks in unit_tasks]
+        """Per-unit results; raises the first failure in unit order."""
+        workers = self._worker_units(len(unit_tasks))
+        assert not any(isinstance(task[2], FrameBand) for tasks in unit_tasks[workers:]
+                       for task in tasks), "the caller would map its own frame buffer"
         futures = []
         try:
             try:
-                for tasks in unit_tasks:
+                for tasks in unit_tasks[:workers]:
                     futures.append(self._pool.submit(_run_unit, tasks))
+                inline = [_run_unit(tasks) for tasks in unit_tasks[workers:]]
             finally:
                 # every unit is done before a failure is raised, so none is
                 # still reading the frame buffer when the next frame fills it
                 wait(futures)
-            return [f.result() for f in futures]
+                done = [f.result() for f in futures]
+            return done + inline
         except BrokenProcessPool as exc:
             raise self._unit_died(exc) from exc
 
@@ -299,7 +300,8 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
     Returns the merged per-point ground mask and a timing record. The wall
     time covers slicing, per-slice segmentation and the merge; input
     preparation (projection, decoding) happens before the clock starts.
-    P = 1 always runs inline regardless of executor. At K = 1 a point method
+    P = 1 always runs inline regardless of executor; for P > 1 without an
+    executor the run builds and closes its own. At K = 1 a point method
     segments `frame.cloud.xyz` itself, with no azimuth partition.
     """
     if method not in METHODS:
@@ -316,8 +318,8 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
         t0 = time.perf_counter()
         if method == "depth":
             spec, data = slice_columns(image, k)
-            if p > 1 and executor is not None:
-                data = executor.depth_slices(image, spec, data)
+            if p > 1:
+                data = executor.depth_slices(image, spec, data, allocation)
         elif k == 1:
             # one sector holds every point in order: no partition, gather or scatter
             data = [frame.cloud.xyz]
@@ -347,15 +349,10 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
 
 def _dispatch(tasks, allocation: PuAllocation, p: int,
               executor: SliceExecutor | None) -> dict[int, np.ndarray]:
-    if p == 1 or executor is None:
-        return {task[1]: _segment_slice(task) for task in tasks}
-    unit_tasks = [[tasks[s] for s in allocation.unit_slices(u)]
-                  for u in range(allocation.unit_count)]
-    results: dict[int, np.ndarray] = {}
-    for unit_result in executor.run_units(unit_tasks):
-        for slice_index, mask in unit_result:
-            results[slice_index] = mask
-    return results
+    if p == 1:
+        return dict(_run_unit(tasks))
+    unit_tasks = [[tasks[s] for s in allocation.unit_slices(u)] for u in range(p)]
+    return dict(result for unit in executor.run_units(unit_tasks) for result in unit)
 
 
 def time_baseline(frame: Frame, method: str, cfg: RunConfig, seed: int = 0,

@@ -23,6 +23,10 @@ from scipy.ndimage import distance_transform_edt
 
 from .config import SmrfConfig
 
+# a slice's grid may cover at most the area of a square this many metres on
+# a side, whatever the cell size: a KITTI frame spans about 240 x 240 m
+MAX_GRID_SIDE_M = 500.0
+
 
 @dataclass(frozen=True)
 class SmrfGrid:
@@ -60,8 +64,9 @@ def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
 
     Empty cells take the elevation of the nearest occupied cell by Euclidean
     cell-center distance; exact ties resolve to the smaller elevation (see
-    _inpaint_nearest). Raises ValueError on an empty cloud or a NaN/inf
-    coordinate, which has no cell or no rank in the opening.
+    _inpaint_nearest). Raises ValueError on an empty cloud, on a NaN/inf
+    coordinate, which has no cell or no rank in the opening, and on a grid
+    covering more than a MAX_GRID_SIDE_M square, before any grid array exists.
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
@@ -73,6 +78,10 @@ def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
     max_x, max_y = xyz[:, 0].max(), xyz[:, 1].max()
     nx = max(1, int(np.ceil((max_x - min_x) / cell_size)))
     ny = max(1, int(np.ceil((max_y - min_y) / cell_size)))
+    if nx * ny * cell_size ** 2 > MAX_GRID_SIDE_M ** 2:
+        raise ValueError(f"an xy extent of {max_x - min_x:.6g} x {max_y - min_y:.6g} m needs "
+                         f"{nx} x {ny} = {nx * ny} cells of {cell_size} m, over the area "
+                         f"of a {MAX_GRID_SIDE_M:g} m square")
 
     grid = SmrfGrid(
         cell_size=cell_size,
@@ -265,7 +274,8 @@ def progressive_open(grid: SmrfGrid, max_window_radius: int,
     for w in range(1, max_window_radius + 1):
         opened_rank = _open_ranks(ranks, w)
         opened = values[opened_rank]
-        flag = (surface - opened) > slope * w * grid.cell_size
+        with np.errstate(invalid="ignore"):  # inf - inf where a cell stays inf
+            flag = (surface - opened) > slope * w * grid.cell_size
         nonground |= flag
         surface[flag] = opened[flag]
         ranks[flag] = opened_rank[flag]

@@ -1,4 +1,5 @@
 import copy
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -12,12 +13,12 @@ import pytest
 
 from groundslice import default_config
 from groundslice.kitti_io import PointCloud
-from groundslice.parallel_exec import (SliceError, SliceExecutor,
+from groundslice.parallel_exec import (FrameBand, SliceError, SliceExecutor,
                                        allocate, frame_from_cloud,
                                        frame_from_ssl, run_sliced,
                                        time_baseline, write_bench_csv,
                                        BenchmarkRecord)
-from groundslice.range_image import partition_azimuth
+from groundslice.range_image import RangeImage, partition_azimuth
 from groundslice.seg_ransac import ransac_ground
 from groundslice.seg_depth import depth_segment_image
 from groundslice.ssl_frame import decode_ssl_frame
@@ -323,19 +324,99 @@ def test_frame_buffer_unlinked_on_close_without_tracker_warning():
     assert not any(_segment_exists(n) for n in names)
 
 
-class _SleepsWhenUnpickled:
-    """A task whose unpickling in the unit process takes half a second."""
+def _after_sleep(seconds, task):
+    time.sleep(seconds)
+    return task
+
+
+class _SlowToUnpickle:
+    """A task whose unpickling in a worker takes half a second; it then runs as `task`."""
+
+    def __init__(self, task):
+        self.task = task
 
     def __reduce__(self):
-        return time.sleep, (0.5,)
+        return _after_sleep, (0.5, self.task)
 
 
 def test_run_units_waits_for_every_unit_before_raising(fast_cfg, process_pool):
+    # units 0 and 1 go to workers, the caller runs the empty unit 2
     failing = ("ransac", 0, np.zeros((1, 3)), fast_cfg.ransac, 0)
+    slow = _SlowToUnpickle(("ransac", 1, np.zeros((0, 3)), fast_cfg.ransac, 1))
     t0 = time.perf_counter()
     with pytest.raises(SliceError, match="slice 0"):
-        process_pool.run_units([[failing], [_SleepsWhenUnpickled()]])
+        process_pool.run_units([[failing], [slow], []])
     assert time.perf_counter() - t0 >= 0.5
+
+
+def test_run_units_waits_for_a_slow_worker_when_the_caller_fails(fast_cfg, process_pool):
+    # unit 0 goes to a worker and succeeds late; the caller's unit 1 fails at once
+    slow = _SlowToUnpickle(("ransac", 0, np.zeros((0, 3)), fast_cfg.ransac, 0))
+    failing = ("ransac", 1, np.zeros((1, 3)), fast_cfg.ransac, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(SliceError, match="slice 1"):
+        process_pool.run_units([[slow], [failing]])
+    assert time.perf_counter() - t0 >= 0.5
+
+
+def test_run_units_raises_the_first_failure_in_unit_order(fast_cfg, process_pool):
+    # unit 0 fails in a worker, unit 1 in the caller
+    failing = [("ransac", s, np.zeros((1, 3)), fast_cfg.ransac, s) for s in range(2)]
+    with pytest.raises(SliceError, match="slice 0"):
+        process_pool.run_units([failing[:1], failing[1:]])
+
+
+@pytest.mark.parametrize("units", [1, 2])
+def test_process_executor_spawns_one_worker_fewer_than_units(units):
+    before = set(multiprocessing.active_children())
+    with SliceExecutor(units, "process"):
+        assert len(set(multiprocessing.active_children()) - before) == units - 1
+
+
+def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, monkeypatch):
+    from groundslice import parallel_exec
+
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
+    image = frame.range_image(fast_cfg)
+    seen, run_units = [], SliceExecutor.run_units
+
+    def recording(self, unit_tasks):
+        seen.append(unit_tasks)
+        return run_units(self, unit_tasks)
+
+    monkeypatch.setattr(SliceExecutor, "run_units", recording)
+    got, _ = run_sliced(frame, "depth", 5, 2, fast_cfg, executor=process_pool)
+    np.testing.assert_array_equal(got, ref)
+    (worker, caller), = seen
+    assert [t[1] for t in worker] == [0, 1, 2] and [t[1] for t in caller] == [3, 4]
+    assert all(isinstance(t[2], FrameBand) for t in worker)
+    assert all(isinstance(t[2], RangeImage) and np.shares_memory(t[2].xyz, image.xyz)
+               for t in caller)
+    assert parallel_exec._mapped_frame is None  # the caller never maps the buffer
+
+
+@pytest.mark.parametrize("backend", ["process", "serial"])
+def test_caller_refuses_a_frame_band(backend, fast_cfg):
+    from groundslice import parallel_exec
+
+    band = FrameBand("no-such-segment", 4, 8, 0, 8, (0.0, 1.0), (0.0, 1.0), 0)
+    with SliceExecutor(2, backend) as executor:
+        with pytest.raises(AssertionError, match="map its own frame buffer"):
+            executor.run_units([[], [("depth", 1, band, fast_cfg.depth, 1)]])
+    assert parallel_exec._mapped_frame is None
+
+
+@pytest.mark.parametrize("units, backend, unit_counts", [
+    (1, "process", (1,)), (2, "process", (1,)), (2, "serial", (1, 2))])
+def test_runs_without_workers_create_no_frame_buffer(units, backend, unit_counts, fast_cfg):
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
+    with SliceExecutor(units, backend) as executor:
+        for p in unit_counts:
+            got, _ = run_sliced(frame, "depth", 5, p, fast_cfg, executor=executor)
+            np.testing.assert_array_equal(got, ref)
+            assert executor.frame_buffer_name is None
 
 
 def test_dead_unit_raises_and_close_still_unlinks(fast_cfg, dying_task):

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,8 @@ from scipy.spatial import cKDTree
 
 import groundslice
 from groundslice.config import SmrfConfig
-from groundslice.seg_smrf import (SmrfGrid, _inpaint_nearest, _ranks, classify_points,
-                                  local_slope, morphological_open,
+from groundslice.seg_smrf import (MAX_GRID_SIDE_M, SmrfGrid, _inpaint_nearest, _ranks,
+                                  classify_points, local_slope, morphological_open,
                                   progressive_open, rasterize_min_surface,
                                   smrf_segment)
 
@@ -181,6 +183,55 @@ def test_far_outlier_fill_matches_oracle_in_linear_memory():
     np.testing.assert_array_equal(grid.elevation, want)
 
 
+@pytest.mark.parametrize("far", [(50_000.0, 0.0), (5000.0, 5000.0)], ids=["x", "xy"])
+def test_one_far_point_exceeds_the_area_bound_before_any_grid_exists(far):
+    # beside a 173 x 112-cell street frame: 100,082 x 112 cells (2.8 km^2),
+    # or 10,082 x 10,088 (25 km^2, 800 MB per float grid)
+    from groundslice.synthetic import make_street_scene, simulate_scan
+
+    xyz, _, _ = simulate_scan(make_street_scene(3, traffic=True), (0.0, 0.0), seed=3)
+    xyz = np.vstack([xyz, [[*far, 0.0]]])
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"an xy extent of .* m needs \d+ x \d+ = \d+ "
+                           r"cells of 0\.5 m, over the area of a 500 m square"):
+            smrf_segment(xyz, SmrfConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < xyz.nbytes / 4
+
+
+def test_area_bound_admits_a_grid_of_exactly_its_area():
+    assert MAX_GRID_SIDE_M == 500.0
+    xyz = as_xyz([[0.0, 0.0, 0.0], [500.0, 500.0, 1.0]])  # 10 x 10 cells of 50 m
+    assert rasterize_min_surface(xyz, 50.0).shape == (10, 10)
+    xyz[1, 1] = 500.5
+    with pytest.raises(ValueError, match=r"10 x 11 = 110 cells of 50\.0 m, over the area"):
+        rasterize_min_surface(xyz, 50.0)
+
+
+def test_area_bound_does_not_depend_on_the_cell_size():
+    # a KITTI-scale 240 m square at 0.2 m: 1.44M cells, inside the bound
+    lattice = np.arange(0.0, 241.0)
+    gx, gy = np.meshgrid(lattice, lattice)
+    xyz = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    assert rasterize_min_surface(xyz, 0.2).shape == (1200, 1200)
+
+
+def test_area_bound_failure_names_its_slice():
+    from groundslice import default_config
+    from groundslice.kitti_io import PointCloud
+    from groundslice.parallel_exec import SliceError, frame_from_cloud, run_sliced
+
+    xyz = as_xyz([[0.0, 0.0, 0.0], [1000.0, 1000.0, 0.0], [1.0, 2.0, 0.5]])
+    frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=np.zeros(3)), "f")
+    with pytest.raises(SliceError, match=r"slice 0: .* over the area of a 500 m square"):
+        run_sliced(frame, "smrf", 1, 1, default_config())
+
+
 def test_cli_import_leaves_scipy_spatial_out():
     src = str(Path(groundslice.__file__).resolve().parent.parent)
     code = "import sys, groundslice.cli; print('scipy.spatial' in sys.modules)"
@@ -344,6 +395,21 @@ def test_opening_with_infinite_cells_equals_oracles(radius):
     with np.errstate(invalid="ignore"):  # inf - inf where a cell keeps its inf
         got = progressive_open(grid, radius, 0.15)
         want = progressive_oracle(grid, radius, 0.15, strip_open_oracle)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_progressive_open_on_infinite_cells_does_not_warn():
+    r = np.random.default_rng(5)
+    surface = r.integers(-8, 8, size=(12, 15)) * 0.25
+    surface[r.uniform(size=surface.shape) < 0.2] = np.inf
+    surface[r.uniform(size=surface.shape) < 0.2] = -np.inf
+    grid = grid_of(surface, cell_size=0.5)
+    with np.errstate(invalid="ignore"):
+        want = progressive_oracle(grid, 5, 0.15, strip_open_oracle)
+    with warnings.catch_warnings(), np.errstate(invalid="warn"):
+        warnings.simplefilter("error")
+        got = progressive_open(grid, 5, 0.15)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
 
