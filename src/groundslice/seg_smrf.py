@@ -7,10 +7,14 @@ points are classified against the resulting bare-earth surface.
 
 Both grid stages are exact and linear in memory. Empty cells are inpainted
 from the Euclidean distance transform and the lattice ring at the nearest
-distance (lowest z wins a tie), with no k-d tree. The progressive opening
-ranks the grid's values once and runs every disk min/max on the small
-integer ranks in a sentinel-padded flat buffer, walking the disk's column
-strips; the ranks map back to the same elevations.
+distance (lowest z wins a tie), with no k-d tree. The ring offsets come from
+a table indexed by the squared distance D, cached at module level on first
+use and grown by doubling up to RING_TABLE_CAP; a grid whose rings pass the
+cap or whose fill radius passes its shorter side builds its own rings, so
+memory stays linear in the grid cells. The progressive opening ranks the
+grid's values once and runs every disk min/max on the small integer ranks
+in a sentinel-padded flat buffer, walking the disk's column strips; the
+ranks map back to the same elevations.
 """
 
 from __future__ import annotations
@@ -90,12 +94,43 @@ def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
         occupied=np.zeros((ny, nx), dtype=bool),
         inpainted=np.zeros((ny, nx), dtype=bool),
     )
-    ix, iy, _ = _cell_indices(grid, xyz[:, :2])
-    np.minimum.at(grid.elevation, (iy, ix), xyz[:, 2])
-    grid.occupied[iy, ix] = True
-    grid.inpainted[:] = ~grid.occupied
+    # one flat cell index per point; every point lies in the box, so the
+    # truncating cast is the floor
+    ix = np.minimum(((xyz[:, 0] - min_x) / cell_size).astype(np.int64), nx - 1)
+    iy = np.minimum(((xyz[:, 1] - min_y) / cell_size).astype(np.int64), ny - 1)
+    cell = iy * nx + ix
+    np.minimum.at(grid.elevation.ravel(), cell, xyz[:, 2])
+    grid.occupied.ravel()[cell] = True
+    np.logical_not(grid.occupied, out=grid.inpainted)
     _inpaint_nearest(grid.elevation, grid.occupied)
     return grid
+
+
+# Rings dy^2 + dx^2 = D below this bound come from a cached table (~2 MB at
+# the bound); a grid whose fill reaches further builds its rings per frame.
+RING_TABLE_CAP = 1 << 16
+_ring_table = None  # (start, dy, dx) of every D < start.size - 1, read-only
+
+
+def _cached_rings(max_d2: int):
+    """The cached ring-offset table, grown by doubling to hold ring max_d2.
+
+    Built on first use, never at import. Ring D holds the offsets
+    dy[start[D]:start[D + 1]], dx[start[D]:start[D + 1]], in _ring_offsets'
+    order for an unbounded grid.
+    """
+    global _ring_table
+    n = 0 if _ring_table is None else _ring_table[0].size - 1
+    if n <= max_d2:
+        n = max(n, 1 << 10)
+        while n <= max_d2:
+            n *= 2
+        side = math.isqrt(n - 1) + 1
+        _ring_table = tuple(a.astype(np.int32)
+                            for a in _ring_offsets(np.arange(n), side, side))
+        for a in _ring_table:
+            a.flags.writeable = False
+    return _ring_table
 
 
 def _inpaint_nearest(elevation: np.ndarray, occupied: np.ndarray) -> None:
@@ -104,60 +139,90 @@ def _inpaint_nearest(elevation: np.ndarray, occupied: np.ndarray) -> None:
     The exact Euclidean distance transform gives each empty cell the squared
     lattice distance D of its nearest occupied cell. The fill is the minimum
     z over the occupied cells on that cell's ring: the lattice offsets with
-    dy^2 + dx^2 = D, built once per distinct D present. The rings are read
-    one offset rank at a time over all cells, so memory stays linear in the
-    grid cells however far the fill reaches.
+    dy^2 + dx^2 = D. Rings up to RING_TABLE_CAP come from one cached table
+    indexed by D, so a frame only gathers each cell's ring start and size;
+    the z copy is padded with inf isqrt(max D) wide on every side, which cuts
+    offsets that leave the grid. That padding is linear in the grid cells
+    only while the fill radius stays within the shorter side. A grid past
+    either bound (a thin strip, or one far outlier's 5 km fill) builds the
+    rings it holds per frame, clipped to the grid, with _ring_offsets, so
+    memory stays linear in the grid cells however far the fill reaches. The
+    rings are read one offset rank at a time over all cells. A grid taller
+    than wide is filled through its transpose, so every ring is read in one
+    order (dy-major) whatever the grid's orientation.
     """
     if occupied.all():
         return
     ny, nx = occupied.shape
+    if ny > nx:
+        _inpaint_nearest(elevation.T, occupied.T)
+        return
     empty = ~occupied
     nearest = distance_transform_edt(empty, return_distances=False,
                                      return_indices=True)
-    ey, ex = np.nonzero(empty)
-    d2 = (nearest[0][ey, ex] - ey) ** 2 + (nearest[1][ey, ex] - ex) ** 2
+    flat = np.flatnonzero(empty)
+    ey, ex = np.divmod(flat, nx)
+    d2 = (nearest[0].ravel()[flat] - ey) ** 2 + (nearest[1].ravel()[flat] - ex) ** 2
     del nearest
-    rings, ring_of = np.unique(d2, return_inverse=True)
-    start, dy, dx = _ring_offsets(rings, ny, nx)
+    max_d2 = int(d2.max())
+    pad = math.isqrt(max_d2)
+    if max_d2 < RING_TABLE_CAP and pad <= ny:
+        start, dy, dx = _cached_rings(max_d2)
+        first = start[d2]
+        size = start[d2 + 1] - first
+        py = px = pad
+        end = int(start[max_d2 + 1])
+        dy, dx = dy[:end], dx[:end]
+    else:
+        rings, ring_of = np.unique(d2, return_inverse=True)
+        start, dy, dx = _ring_offsets(rings, ny, nx)
+        first = start[ring_of]
+        size = np.diff(start)[ring_of]
+        py, px = int(dy.max()), int(dx.max())
 
     # z read by flat index from a copy padded with inf as wide as the
     # longest offset, so an offset off the grid needs no bounds check
-    py, px = int(dy.max()), int(dx.max())
     source = np.full((ny + 2 * py, nx + 2 * px), np.inf)
     source[py:py + ny, px:px + nx] = np.where(occupied, elevation, np.inf)
     source = source.ravel()
     step = nx + 2 * px
-    offset = dy * step + dx
+    offset = dy.astype(np.int64) * step + dx
 
-    # cells by descending ring size: those with a j-th offset are a prefix
-    size = np.diff(start)[ring_of]
-    order = np.argsort(-size, kind="stable")
-    ey, ex = ey[order], ex[order]
+    # cells by descending ring size: those with a j-th offset are a prefix;
+    # a stable sort on a 16-bit key is a radix sort
+    counts = np.bincount(size)
+    key = np.int16 if counts.size <= 1 << 15 else np.int64
+    order = np.argsort(-size.astype(key), kind="stable")
+    ey, ex, first = ey[order], ex[order], first[order]
     cell = (ey + py) * step + ex + px
-    first = start[ring_of[order]]
-    beyond = ey.size - np.cumsum(np.bincount(size))  # cells with size > j
+    beyond = ey.size - np.cumsum(counts)  # cells with size > j
+    # every index is in range by construction, so mode="clip" only skips
+    # the buffered bounds check of np.take with out=
     fill = np.full(ey.size, np.inf)
+    at = np.empty(ey.size, dtype=np.int64)
+    z = np.empty(ey.size)
     for j, m in enumerate(beyond[:-1].tolist()):
-        np.minimum(fill[:m], source[cell[:m] + offset[first[:m] + j]],
-                   out=fill[:m])
+        np.take(offset[j:], first[:m], out=at[:m], mode="clip")  # offset[first + j]
+        np.add(at[:m], cell[:m], out=at[:m])
+        np.take(source, at[:m], out=z[:m], mode="clip")
+        np.minimum(fill[:m], z[:m], out=fill[:m])
     elevation[ey, ex] = fill
 
 
 def _ring_offsets(rings: np.ndarray, ny: int, nx: int):
     """Lattice offsets on each ring dy^2 + dx^2 = rings[k] inside an ny x nx grid.
 
-    rings is sorted ascending. Returns (start, dy, dx): the offsets of ring k
-    are dy[start[k]:start[k+1]], dx[start[k]:start[k+1]]. The component
-    along the shorter grid side is enumerated and the other one is solved
-    for, so the work is (shorter side) x (number of rings).
+    rings is sorted ascending and ny <= nx. Returns (start, dy, dx): the
+    offsets of ring k are dy[start[k]:start[k+1]], dx[start[k]:start[k+1]],
+    by sign choice, then by |dy| ascending. |dy| along the shorter side is
+    enumerated and |dx| is solved for, so the work is ny x (number of rings).
     """
-    short, long = sorted((ny, nx))
     ring_parts, a_parts, b_parts = [], [], []
-    for a in range(min(short, math.isqrt(int(rings[-1])) + 1)):
+    for a in range(min(ny, math.isqrt(int(rings[-1])) + 1)):
         lo = int(np.searchsorted(rings, a * a))
         rem = rings[lo:] - a * a
         b = np.rint(np.sqrt(rem)).astype(np.int64)
-        hit = np.flatnonzero((b * b == rem) & (b < long))
+        hit = np.flatnonzero((b * b == rem) & (b < nx))
         ring_parts.append(hit + lo)
         a_parts.append(np.full(hit.size, a, dtype=np.int64))
         b_parts.append(b[hit])
@@ -174,7 +239,7 @@ def _ring_offsets(rings: np.ndarray, ny: int, nx: int):
     b = (sb * b)[keep][order]
     start = np.zeros(rings.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(ring, minlength=rings.size), out=start[1:])
-    return (start, a, b) if ny <= nx else (start, b, a)
+    return start, a, b
 
 
 # Ranks of at most this many distinct values fit in int16 beside both sentinels.
@@ -262,7 +327,8 @@ def progressive_open(grid: SmrfGrid, max_window_radius: int,
     The grid is ranked once: min and max commute with the order-preserving
     map from values to ranks, and a flagged cell takes a value the surface
     already held, so every opening runs on the ranks and a flagged cell
-    takes the opened rank with the opened value.
+    takes the opened rank with the opened value. The per-radius grids are
+    written into buffers allocated once.
     """
     if max_window_radius < 1:
         raise ValueError("max_window_radius must be >= 1")
@@ -271,14 +337,18 @@ def progressive_open(grid: SmrfGrid, max_window_radius: int,
     values, ranks = _ranks(grid.elevation)
     surface = grid.elevation.copy()
     nonground = np.zeros(grid.shape, dtype=bool)
+    opened = np.empty_like(surface)
+    drop = np.empty_like(surface)
+    flag = np.empty(grid.shape, dtype=bool)
     for w in range(1, max_window_radius + 1):
         opened_rank = _open_ranks(ranks, w)
-        opened = values[opened_rank]
+        np.take(values, opened_rank, out=opened)
         with np.errstate(invalid="ignore"):  # inf - inf where a cell stays inf
-            flag = (surface - opened) > slope * w * grid.cell_size
+            np.subtract(surface, opened, out=drop)
+            np.greater(drop, slope * w * grid.cell_size, out=flag)
         nonground |= flag
-        surface[flag] = opened[flag]
-        ranks[flag] = opened_rank[flag]
+        np.copyto(surface, opened, where=flag)
+        np.copyto(ranks, opened_rank, where=flag)
     return nonground, surface
 
 

@@ -9,6 +9,7 @@ sensor dropped keep valid=False through decoding.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -21,6 +22,7 @@ SUBFRAME_COUNT = 5
 FRAME_COLS = SUBFRAME_COLS * SUBFRAME_COUNT  # 625
 RECORDS_PER_SUBFRAME = SUBFRAME_ROWS * SUBFRAME_COLS  # 15,750
 RECORDS_PER_FRAME = RECORDS_PER_SUBFRAME * SUBFRAME_COUNT  # 78,750
+_SSL_RECORD_BYTES = 12  # 3 x float32
 
 
 @dataclass(frozen=True)
@@ -148,17 +150,17 @@ def ssl_to_point_cloud(frame: SslFrame):
 def load_sslraw(path) -> SslRawFrame:
     """Read a .sslraw capture: 78,750 little-endian float32 (x, y, z) triples.
 
-    An all-zero triple marks an invalid (dropped) return.
+    An all-zero triple marks an invalid (dropped) return. A file of any other
+    byte size raises ValueError naming it.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"capture not found: {path}")
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != RECORDS_PER_FRAME * 3:
-        raise ValueError(
-            f"capture {path} holds {raw.size // 3} records, expected {RECORDS_PER_FRAME}"
-        )
-    xyz = raw.reshape(-1, 3).astype(np.float64)
+    n_bytes = path.stat().st_size
+    if n_bytes != RECORDS_PER_FRAME * _SSL_RECORD_BYTES:
+        raise ValueError(f"capture {path} holds {n_bytes} bytes, expected {RECORDS_PER_FRAME} "
+                         f"records of {_SSL_RECORD_BYTES}")
+    xyz = np.fromfile(path, dtype="<f4").reshape(-1, 3).astype(np.float64)
     # column by column: a record is valid unless all three coordinates are zero
     valid = (xyz[:, 0] != 0.0) | (xyz[:, 1] != 0.0) | (xyz[:, 2] != 0.0)
     return SslRawFrame(xyz=xyz, valid=valid)
@@ -170,12 +172,21 @@ def save_sslraw(raw: SslRawFrame, path) -> None:
 
 
 def load_ssl_csv(path) -> SslRawFrame:
-    """Read the CSV fixture form: one `x,y,z,valid` line per record."""
-    data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if data.shape[0] != RECORDS_PER_FRAME or data.shape[1] != 4:
-        raise ValueError(
-            f"CSV fixture must have {RECORDS_PER_FRAME} rows of x,y,z,valid, got {data.shape}"
-        )
+    """Read the CSV fixture form: one `x,y,z,valid` line per record.
+
+    A file that is not RECORDS_PER_FRAME lines of four numbers raises
+    ValueError naming it.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns, then fails the row count below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:  # unparsable text, or a line of another width
+        raise ValueError(f"malformed CSV fixture {path}: {exc}") from exc
+    if data.shape != (RECORDS_PER_FRAME, 4):
+        raise ValueError(f"CSV fixture {path} must have {RECORDS_PER_FRAME} rows of "
+                         f"x,y,z,valid, got {data.shape}")
     return SslRawFrame(xyz=data[:, :3], valid=data[:, 3] != 0.0)
 
 

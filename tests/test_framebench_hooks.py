@@ -54,3 +54,24 @@ def test_spans_record_every_traced_layer(framebench):
     for key in ("seg_smrf.rasterize_ms", "seg_ransac.ms", "ransac.accepted",
                 "range_image.project_ms"):
         assert rec.frame.get(key, 0) > 0, key
+
+
+def test_smrf_counters_match_the_grid(framebench):
+    # the span around rasterize_min_surface reads grid.inpainted for the
+    # seg_smrf.inpainted_ratio counters
+    from groundslice.seg_smrf import rasterize_min_surface
+
+    _, trace_layers = framebench
+    cfg = default_config()
+    frame = frame_from_cloud(make_random_cloud(3, 1500), "f")
+    grid = rasterize_min_surface(frame.cloud.xyz, cfg.smrf.cell_size)
+    rec = trace_layers.Recorder()
+    spans = trace_layers.Spans(rec)
+    spans.install()
+    try:
+        run_sliced(frame, "smrf", 1, 1, cfg)
+    finally:
+        spans.remove()
+    assert 0 < rec.frame["smrf.inpainted"] < rec.frame["smrf.cells"]
+    assert rec.frame["smrf.inpainted"] == int(grid.inpainted.sum())
+    assert rec.frame["smrf.cells"] == grid.elevation.size

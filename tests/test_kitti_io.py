@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from groundslice.kitti_io import (GROUND_CLASSES_DEFAULT, GROUND_CLASSES_EXTENDED,
                                   PointCloud, list_sequence, load_frame,
@@ -187,3 +190,28 @@ def test_point_cloud_validation():
         PointCloud(xyz=np.zeros((3, 2)), intensity=np.zeros(3))
     with pytest.raises(ValueError):
         PointCloud(xyz=np.zeros((3, 3)), intensity=np.zeros(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=arrays(np.float32, st.tuples(st.integers(0, 40), st.just(4)),
+                      elements=st.floats(width=32)),
+       tail=st.binary(max_size=15), cut=st.integers(0, 15))
+def test_fuzzed_scan_gives_a_finite_cloud_or_names_the_file(tmp_path_factory, records,
+                                                            tail, cut):
+    # any float32 (NaN, +-inf, +-3.4e38, subnormals), then odd-sized files
+    data = records.astype("<f4").tobytes() + tail
+    data = data[:len(data) - cut]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+    path.write_bytes(data)
+    try:
+        cloud, dropped = load_velodyne_bin(path)
+    except ValueError as exc:
+        assert len(data) % 16 and str(path) in str(exc)
+        return
+    assert len(data) % 16 == 0
+    want = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    finite = np.isfinite(want).all(axis=1)
+    np.testing.assert_array_equal(dropped, np.flatnonzero(~finite))
+    assert cloud.xyz.tobytes() == want[finite, :3].tobytes()
+    assert cloud.intensity.tobytes() == want[finite, 3].tobytes()
+    assert np.isfinite(cloud.xyz).all()

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -15,11 +16,12 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 from scipy.spatial import cKDTree
 
 import groundslice
+from groundslice import seg_smrf
 from groundslice.config import SmrfConfig
-from groundslice.seg_smrf import (MAX_GRID_SIDE_M, SmrfGrid, _inpaint_nearest, _ranks,
-                                  classify_points, local_slope, morphological_open,
-                                  progressive_open, rasterize_min_surface,
-                                  smrf_segment)
+from groundslice.seg_smrf import (MAX_GRID_SIDE_M, RING_TABLE_CAP, SmrfGrid, _cached_rings,
+                                  _inpaint_nearest, _ranks, classify_points, local_slope,
+                                  morphological_open, progressive_open,
+                                  rasterize_min_surface, smrf_segment)
 
 
 def as_xyz(points):
@@ -181,6 +183,144 @@ def test_far_outlier_fill_matches_oracle_in_linear_memory():
     want = np.where(grid.occupied, grid.elevation, np.inf)
     inpaint_oracle(want, grid.occupied)
     np.testing.assert_array_equal(grid.elevation, want)
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def street_grid(seed=3):
+    """The default config's grid of a 64x1024 synthetic street frame."""
+    from groundslice.config import default_config
+    from groundslice.synthetic import make_street_scene, simulate_scan
+
+    xyz, _, _ = simulate_scan(make_street_scene(seed, traffic=True), (0.0, 0.0), seed=seed)
+    return rasterize_min_surface(xyz, default_config().smrf.cell_size)
+
+
+def random_occupancy(r, shape, layout):
+    occupied = np.zeros(shape, dtype=bool)
+    if layout == "random":
+        occupied = r.uniform(size=shape) < r.uniform(0.05, 0.9)
+    elif layout == "sparse":
+        occupied = r.uniform(size=shape) < 0.03
+    elif layout == "lattice":
+        step = int(r.integers(2, 7))
+        occupied[r.integers(step)::step, r.integers(step)::step] = True
+    return occupied
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["random", "sparse", "single", "lattice"]))
+def test_fill_from_the_ring_table_matches_kdtree_oracle(n, seed, layout):
+    # an occupied center keeps every fill radius below the side, so the rings
+    # come from the cached table and none is built for the grid
+    r = np.random.default_rng(seed)
+    occupied = random_occupancy(r, (n, n), layout)
+    occupied[n // 2, n // 2] = True
+    _cached_rings(2 * n * n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seg_smrf, "_ring_offsets", _refuse("_ring_offsets"))
+        z = r.permutation(n * n).reshape(n, n) * 0.25 - 40.0
+        assert_fill_matches_oracle(np.where(occupied, z, np.inf), occupied)
+
+
+@settings(max_examples=150, deadline=None)
+@given(short=st.integers(1, 2), long=st.integers(4, 300), tall=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["random", "sparse", "single"]))
+def test_fill_of_a_thin_grid_builds_its_rings_and_matches_kdtree_oracle(short, long, tall,
+                                                                         seed, layout):
+    # three empty columns at one end put a fill radius past the short side,
+    # so the grid's own rings are built clipped to it
+    r = np.random.default_rng(seed)
+    occupied = random_occupancy(r, (short, long), layout)
+    occupied[:, :3] = False
+    occupied[r.integers(short), r.integers(3, long)] = True
+    z = r.permutation(short * long).reshape(short, long) * 0.25 - 40.0
+    elevation = np.where(occupied, z, np.inf)
+    if tall:
+        elevation, occupied = elevation.T, occupied.T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seg_smrf, "_cached_rings", _refuse("_cached_rings"))
+        assert_fill_matches_oracle(elevation, occupied)
+
+
+def test_fill_past_the_ring_table_cap_matches_kdtree_oracle(monkeypatch):
+    # a 400 x 400 grid filled from a few cells near its center: the corners'
+    # rings reach D = 80,000 > RING_TABLE_CAP while the radius (282) stays
+    # below the side, so only the cap sends the grid to its own rings
+    occupied = np.zeros((400, 400), dtype=bool)
+    elevation = np.full((400, 400), np.inf)
+    for (y, x), z in {(200, 200): 1.0, (197, 204): -0.5, (203, 196): 0.25}.items():
+        occupied[y, x], elevation[y, x] = True, z
+    monkeypatch.setattr(seg_smrf, "_cached_rings", _refuse("_cached_rings"))
+    assert_fill_matches_oracle(elevation, occupied)
+
+
+def test_inpainting_matches_kdtree_oracle_on_a_street_frame():
+    grid = street_grid()
+    assert grid.inpainted.mean() > 0.5
+    want = np.where(grid.occupied, grid.elevation, np.inf)
+    inpaint_oracle(want, grid.occupied)
+    np.testing.assert_array_equal(grid.elevation, want)
+
+
+def test_ring_table_is_built_once_and_reused_across_frames(monkeypatch):
+    monkeypatch.setattr(seg_smrf, "_ring_table", None)
+    grids = [street_grid(seed) for seed in (3, 4)]
+    table = seg_smrf._ring_table
+    assert table is not None
+    monkeypatch.setattr(seg_smrf, "_ring_offsets", _refuse("_ring_offsets"))
+    for seed, grid in zip((3, 4), grids):
+        again = street_grid(seed)
+        assert again.elevation.tobytes() == grid.elevation.tobytes()
+    assert seg_smrf._ring_table is table
+
+
+def test_ring_table_is_read_only_and_grows_by_doubling(monkeypatch):
+    monkeypatch.setattr(seg_smrf, "_ring_table", None)
+    start, dy, dx = _cached_rings(1024)
+    assert start.size - 1 == 2048
+    for a in (start, dy, dx):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # ring D holds exactly the lattice offsets with dy^2 + dx^2 = D
+    r = math.isqrt(2047)
+    y, x = np.mgrid[-r:r + 1, -r:r + 1]
+    d = y * y + x * x
+    want = sorted(zip(d[d < 2048].tolist(), y[d < 2048].tolist(), x[d < 2048].tolist()))
+    ring = np.repeat(np.arange(2048), np.diff(start))
+    assert sorted(zip(ring.tolist(), dy.tolist(), dx.tolist())) == want
+    assert _cached_rings(100)[0] is start  # a smaller ring reuses the table
+    assert _cached_rings(2048)[0].size - 1 == 4096
+
+
+def test_ring_table_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(seg_smrf, "_ring_table", None)
+    street_grid()
+    # one return 5 km from a 20 m patch: a 40 x 10,000 grid at 0.5 m
+    patch = np.random.default_rng(8).uniform(0, 20, size=(400, 3))
+    assert rasterize_min_surface(np.vstack([patch, [[5000.0, 10.0, 1.0]]]),
+                                 0.5).shape == (40, 10_000)
+    occupied = np.zeros((400, 400), dtype=bool)
+    occupied[200, 200] = True
+    _inpaint_nearest(np.where(occupied, 0.0, np.inf), occupied)
+    assert seg_smrf._ring_table[0].size - 1 <= RING_TABLE_CAP
+    start, dy, dx = _cached_rings(RING_TABLE_CAP - 1)
+    assert start.size - 1 == RING_TABLE_CAP
+    assert sum(a.nbytes for a in (start, dy, dx)) < 2.5e6
+
+
+def test_import_builds_no_ring_table():
+    src = str(Path(groundslice.__file__).resolve().parent.parent)
+    code = "import groundslice.seg_smrf as s; print(s._ring_table is None)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("far", [(50_000.0, 0.0), (5000.0, 5000.0)], ids=["x", "xy"])

@@ -1,5 +1,11 @@
+import functools
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundslice.ssl_frame import (FRAME_COLS, RECORDS_PER_FRAME,
                                    RECORDS_PER_SUBFRAME, SUBFRAME_COLS,
@@ -205,3 +211,99 @@ def test_point_cloud_matches_boolean_mask_gather():
         want = np.full(frame.valid.shape, -1, dtype=np.int64)
         want[frame.valid] = np.arange(int(frame.valid.sum()))
         np.testing.assert_array_equal(pix2pt, want)
+
+
+# non-finite, extreme finite and zero coordinates
+RECORD_SPECIALS = [np.nan, np.inf, -np.inf, 3.4028235e38, -3.4028235e38, 1e-45, 0.0, -0.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 3 * RECORDS_PER_FRAME - 1),
+                                st.sampled_from(RECORD_SPECIALS)), max_size=20),
+       all_invalid=st.booleans(), resize=st.integers(-13, 13))
+def test_fuzzed_sslraw_gives_a_frame_or_names_the_file(tmp_path_factory, edits,
+                                                       all_invalid, resize):
+    records = np.zeros(3 * RECORDS_PER_FRAME, dtype="<f4")
+    if not all_invalid:
+        records[:] = make_ssl_capture(seed=4, dropout=0.03).xyz.ravel()
+        for i, v in edits:
+            records[i] = v
+    data = records.tobytes()
+    data = data[:len(data) + resize] if resize < 0 else data + b"\x7f" * resize
+    path = tmp_path_factory.getbasetemp() / "fuzzed.sslraw"
+    path.write_bytes(data)
+    try:
+        raw = load_sslraw(path)
+    except ValueError as exc:
+        assert resize and str(path) in str(exc) and "expected 78750" in str(exc)
+        return
+    assert resize == 0
+    xyz = records.reshape(-1, 3).astype(np.float64)
+    assert raw.xyz.tobytes() == xyz.tobytes()
+    np.testing.assert_array_equal(raw.valid, ~np.all(xyz == 0, axis=1))
+    cloud, _ = ssl_to_point_cloud(decode_ssl_frame(raw))
+    assert len(cloud) == int(raw.valid.sum())
+    assert len(cloud) == 0 if all_invalid else len(cloud) > 0
+
+
+@functools.lru_cache(maxsize=1)
+def csv_lines():
+    raw = make_ssl_capture(seed=5, dropout=0.03)
+    return tuple(f"{x!r},{y!r},{z!r},{int(v)}" for (x, y, z), v in zip(raw.xyz, raw.valid))
+
+
+def csv_oracle(text):
+    """Rows of four Python floats, or None where the text is not a capture."""
+    rows = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            return None
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            return None
+    return np.array(rows) if len(rows) == RECORDS_PER_FRAME else None
+
+
+CSV_TOKENS = ["nan", "inf", "-inf", "1e308", "-1.7976931348623157e308", "1e400", "0", "abc", ""]
+
+
+@settings(max_examples=30, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, RECORDS_PER_FRAME - 1), st.integers(0, 3),
+                                st.sampled_from(CSV_TOKENS)), max_size=6),
+       all_invalid=st.booleans(), drop=st.integers(0, 2),
+       extra=st.sampled_from(["", "1,2,3", "1,2,3,1", "1,2,3,1,5", "\x00\xff"]),
+       cut=st.integers(0, 4))
+def test_fuzzed_csv_gives_a_frame_or_names_the_file(tmp_path_factory, edits, all_invalid,
+                                                    drop, extra, cut):
+    lines = ["0,0,0,0"] * RECORDS_PER_FRAME if all_invalid else list(csv_lines())
+    for row, col, token in edits:
+        fields = lines[row].split(",")
+        fields[col] = token
+        lines[row] = ",".join(fields)
+    text = "\n".join(lines[:len(lines) - drop] + ([extra] if extra else [])) + "\n"
+    text = text[:len(text) - cut]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_text(text, encoding="latin-1")
+    want = csv_oracle(text)
+    try:
+        raw = load_ssl_csv(path)
+    except ValueError as exc:
+        assert want is None and str(path) in str(exc)
+        return
+    assert want is not None
+    assert raw.xyz.tobytes() == want[:, :3].tobytes()
+    np.testing.assert_array_equal(raw.valid, want[:, 3] != 0)
+    assert not raw.valid.any() if all_invalid else raw.valid.any()
+
+
+def test_empty_csv_names_the_file_without_a_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"CSV fixture {path} must have 78750 rows")):
+            load_ssl_csv(path)
