@@ -4,8 +4,10 @@ Per column, the inclination angle between vertically consecutive returns is
 computed bottom-up, smoothed with a Savitzky-Golay least-squares filter, and
 ground labels grow from low-angle seeds on the lowest returns: the seeded
 connected components of the angle-step graph, the same set a breadth-first
-search from the seeds reaches. Everything is a pure function of its inputs,
-so slices can run on concurrent workers untouched.
+search from the seeds reaches, labelled over vertical runs with numpy alone.
+The module needs no scipy, so a process that only runs depth never loads
+it. Everything is a pure function of its inputs, so slices can run on
+concurrent workers untouched.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import DepthConfig
 from .range_image import RangeImage
@@ -161,37 +162,61 @@ def bfs_ground_label(angles: AngleImage, seed_threshold: float,
     That set does not depend on visit order: it is the union of the
     connected components holding a seed, in the graph whose nodes are the
     valid pixels under the angle cap and whose edges join 4-neighbors with
-    an angle step below propagation_threshold. The graph is drawn on a
-    (2R-1) x (2C-1) lattice, nodes at even coordinates and the edges
-    between them at the odd ones, and labelled as an image.
+    an angle step below propagation_threshold. Each column's nodes joined by
+    vertical edges form runs, numbered in column-major order; horizontal
+    edges join runs of adjacent columns, one edge per pair of runs that
+    touch on consecutive rows. The runs are labelled by min-label hooking
+    with pointer jumping (Shiloach & Vishkin 1982): every root hooks to the
+    smallest root across its edges, the forest is flattened, and edges
+    inside one root drop out until none joins two roots. Memory is linear
+    in the pixels.
     """
     if seed_threshold <= 0 or propagation_threshold <= 0:
         raise ValueError("thresholds must be positive")
     rows, cols = angles.shape
     if rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=bool)
-    a = angles.angle
+    # column-major layout: a column's pixels sit together, and so does each run
+    a = np.ascontiguousarray(angles.angle.T)
     valid = angles.valid
-    node = valid & (a < seed_threshold + propagation_threshold)
-
-    lattice = np.zeros((2 * rows - 1, 2 * cols - 1), dtype=bool)
-    lattice[::2, ::2] = node
+    node = valid.T & (a < seed_threshold + propagation_threshold)
     with np.errstate(invalid="ignore"):  # a step between infinities is no edge
-        lattice[1::2, ::2] = (node[:-1] & node[1:]
-                              & (np.abs(a[1:] - a[:-1]) < propagation_threshold))
-        lattice[::2, 1::2] = (node[:, :-1] & node[:, 1:]
-                              & (np.abs(a[:, 1:] - a[:, :-1]) < propagation_threshold))
-    labels, count = ndimage.label(lattice)
-    labels = labels[::2, ::2]
+        down = node[:, :-1] & node[:, 1:] & (np.abs(a[:, 1:] - a[:, :-1]) < propagation_threshold)
+        right = node[:-1] & node[1:] & (np.abs(a[1:] - a[:-1]) < propagation_threshold)
+
+    # a run starts at a node with no edge from the pixel above; ids from 1
+    start = node.copy()
+    start[:, 1:] &= ~down
+    run = start.astype(np.intp).ravel()
+    np.cumsum(run, out=run)
+    run_count = int(run[-1])
+    run *= node.ravel()
+    run = run.reshape(cols, rows)
+    # a right edge whose row above joins the same two runs adds nothing
+    right[:, 1:] &= ~(right[:, :-1] & down[:-1] & down[1:])
+    # column-major ids grow with the column, so lo < hi on every edge
+    lo, hi = run[:-1][right], run[1:][right]
+
+    parent = np.arange(run_count + 1)
+    while lo.size:
+        np.minimum.at(parent, hi, lo)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        lo, hi = parent[lo], parent[hi]
+        cross = lo != hi
+        lo, hi = np.minimum(lo[cross], hi[cross]), np.maximum(lo[cross], hi[cross])
 
     # each column's lowest valid pixel seeds when its angle is low enough
     seed_cols = np.flatnonzero(valid.any(axis=0))
     seed_rows = rows - 1 - np.argmax(valid[::-1, seed_cols], axis=0)
-    seeded = a[seed_rows, seed_cols] < seed_threshold
-    # a seed is a node (its angle is under the cap), so label 0 never is kept
-    keep = np.zeros(count + 1, dtype=bool)
-    keep[labels[seed_rows[seeded], seed_cols[seeded]]] = True
-    return keep[labels]
+    seeded = a[seed_cols, seed_rows] < seed_threshold
+    # a seed is a node (its angle is under the cap), so run 0 is never kept
+    keep = np.zeros(parent.size, dtype=bool)
+    keep[parent[run[seed_cols[seeded], seed_rows[seeded]]]] = True
+    return np.ascontiguousarray(keep[parent][run].T)
 
 
 def depth_segment_image(image: RangeImage, cfg: DepthConfig) -> np.ndarray:

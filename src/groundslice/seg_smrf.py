@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .config import SmrfConfig
 
@@ -157,6 +156,8 @@ def _inpaint_nearest(elevation: np.ndarray, occupied: np.ndarray) -> None:
     if ny > nx:
         _inpaint_nearest(elevation.T, occupied.T)
         return
+    from scipy.ndimage import distance_transform_edt  # loaded on the first smrf frame
+
     empty = ~occupied
     nearest = distance_transform_edt(empty, return_distances=False,
                                      return_indices=True)

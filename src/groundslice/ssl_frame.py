@@ -150,8 +150,9 @@ def ssl_to_point_cloud(frame: SslFrame):
 def load_sslraw(path) -> SslRawFrame:
     """Read a .sslraw capture: 78,750 little-endian float32 (x, y, z) triples.
 
-    An all-zero triple marks an invalid (dropped) return. A file of any other
-    byte size raises ValueError naming it.
+    An all-zero triple marks an invalid (dropped) return, and so does a
+    triple holding a NaN or an infinity; the coordinates are kept as read.
+    A file of any other byte size raises ValueError naming it.
     """
     path = Path(path)
     if not path.is_file():
@@ -160,10 +161,12 @@ def load_sslraw(path) -> SslRawFrame:
     if n_bytes != RECORDS_PER_FRAME * _SSL_RECORD_BYTES:
         raise ValueError(f"capture {path} holds {n_bytes} bytes, expected {RECORDS_PER_FRAME} "
                          f"records of {_SSL_RECORD_BYTES}")
-    xyz = np.fromfile(path, dtype="<f4").reshape(-1, 3).astype(np.float64)
-    # column by column: a record is valid unless all three coordinates are zero
-    valid = (xyz[:, 0] != 0.0) | (xyz[:, 1] != 0.0) | (xyz[:, 2] != 0.0)
-    return SslRawFrame(xyz=xyz, valid=valid)
+    records = np.fromfile(path, dtype="<f4").reshape(-1, 3)
+    # a record is valid when its largest magnitude is neither zero nor
+    # non-finite; np.maximum carries a NaN through
+    mag = np.abs(records)
+    peak = np.maximum(np.maximum(mag[:, 0], mag[:, 1]), mag[:, 2])
+    return SslRawFrame(xyz=records.astype(np.float64), valid=(peak > 0) & (peak < np.inf))
 
 
 def save_sslraw(raw: SslRawFrame, path) -> None:
@@ -174,8 +177,9 @@ def save_sslraw(raw: SslRawFrame, path) -> None:
 def load_ssl_csv(path) -> SslRawFrame:
     """Read the CSV fixture form: one `x,y,z,valid` line per record.
 
-    A file that is not RECORDS_PER_FRAME lines of four numbers raises
-    ValueError naming it.
+    A record is valid when its flag is nonzero and all four fields are
+    finite. A file that is not RECORDS_PER_FRAME lines of four numbers
+    raises ValueError naming it.
     """
     try:
         with warnings.catch_warnings():
@@ -187,7 +191,7 @@ def load_ssl_csv(path) -> SslRawFrame:
     if data.shape != (RECORDS_PER_FRAME, 4):
         raise ValueError(f"CSV fixture {path} must have {RECORDS_PER_FRAME} rows of "
                          f"x,y,z,valid, got {data.shape}")
-    return SslRawFrame(xyz=data[:, :3], valid=data[:, 3] != 0.0)
+    return SslRawFrame(xyz=data[:, :3], valid=(data[:, 3] != 0.0) & np.isfinite(data).all(axis=1))
 
 
 def save_ssl_csv(raw: SslRawFrame, path) -> None:

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groundslice import default_config
 from groundslice.config import DepthConfig
+from groundslice.kitti_io import PointCloud
+from groundslice.parallel_exec import frame_from_cloud, frame_from_ssl
 from groundslice.range_image import merge_masks, project_spherical, slice_columns
 from groundslice.seg_depth import (AngleImage, bfs_ground_label,
                                    compute_angle_image, depth_segment_image,
                                    savitzky_golay_smooth)
+from groundslice.ssl_frame import decode_ssl_frame
+from groundslice.synthetic import make_ssl_capture, make_street_scene, simulate_scan
 
 V_SPAN = (math.radians(2.0), math.radians(-24.8))
 
@@ -280,6 +285,116 @@ def test_labelling_matches_bfs_oracle(rows, cols, seed, valid_share, nonfinite_s
     got = bfs_ground_label(img, seed_t, prop_t)
     assert got.shape == (rows, cols) and got.dtype == bool
     np.testing.assert_array_equal(got, bfs_oracle(img, seed_t, prop_t))
+
+
+def lattice_oracle(angles, seed_threshold, propagation_threshold):
+    """The scipy labeller the run labeller replaced: nodes and edges on one lattice.
+
+    Nodes sit at even coordinates of a (2R-1) x (2C-1) image and the edges
+    between them at the odd ones; ndimage.label finds the components.
+    """
+    from scipy import ndimage
+
+    rows, cols = angles.shape
+    a = angles.angle
+    valid = angles.valid
+    node = valid & (a < seed_threshold + propagation_threshold)
+    lattice = np.zeros((2 * rows - 1, 2 * cols - 1), dtype=bool)
+    lattice[::2, ::2] = node
+    with np.errstate(invalid="ignore"):
+        lattice[1::2, ::2] = (node[:-1] & node[1:]
+                              & (np.abs(a[1:] - a[:-1]) < propagation_threshold))
+        lattice[::2, 1::2] = (node[:, :-1] & node[:, 1:]
+                              & (np.abs(a[:, 1:] - a[:, :-1]) < propagation_threshold))
+    labels, count = ndimage.label(lattice)
+    labels = labels[::2, ::2]
+    seed_cols = np.flatnonzero(valid.any(axis=0))
+    seed_rows = rows - 1 - np.argmax(valid[::-1, seed_cols], axis=0)
+    seeded = a[seed_rows, seed_cols] < seed_threshold
+    keep = np.zeros(count + 1, dtype=bool)
+    keep[labels[seed_rows[seeded], seed_cols[seeded]]] = True
+    return keep[labels]
+
+
+def assert_labels_match(img, oracle, seed_t, prop_t):
+    got = bfs_ground_label(img, seed_t, prop_t)
+    assert got.shape == img.shape and got.dtype == bool and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, oracle(img, seed_t, prop_t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(length=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), column=st.booleans(),
+       valid_share=st.sampled_from([0.5, 0.9, 1.0]))
+def test_single_row_and_column_match_bfs_oracle(length, seed, column, valid_share):
+    r = np.random.default_rng(seed)
+    shape = (length, 1) if column else (1, length)
+    valid = r.uniform(size=shape) < valid_share
+    # binary fractions put some steps exactly on the threshold
+    angle = r.integers(0, 6, shape) * 0.0625
+    assert_labels_match(AngleImage(angle=angle, valid=valid), bfs_oracle, 0.25, 0.125)
+
+
+def serpentine(rows, cols, step=0.11):
+    """Rows of step * r joined at alternating ends: one path, one pixel per run.
+
+    With a propagation threshold of 0.1 no vertical edge joins two rows but
+    the half step at the end of each row.
+    """
+    angle = np.repeat(step * np.arange(rows)[:, None], cols, axis=1)
+    for r in range(rows - 1):
+        angle[r + 1, cols - 1 if r % 2 == 0 else 0] = step * (r + 0.5)
+    return angle
+
+
+@pytest.mark.parametrize("case", ["row_serpentine", "column_serpentine", "checkerboard"])
+def test_worst_case_images_match_lattice_oracle(case):
+    rows, cols = 64, 1024
+    if case == "row_serpentine":
+        angle, seed_t = serpentine(rows, cols), 8.0
+    elif case == "column_serpentine":
+        angle, seed_t = np.ascontiguousarray(serpentine(cols, rows).T), 120.0
+    else:
+        angle, seed_t = 0.11 * (np.add.outer(np.arange(rows), np.arange(cols)) % 2), 8.0
+    img = AngleImage(angle=angle, valid=np.ones((rows, cols), dtype=bool))
+    if case != "checkerboard":
+        # the whole image is one path, reached from every seed
+        assert bfs_ground_label(img, seed_t, 0.1).all()
+    assert_labels_match(img, lattice_oracle, seed_t, 0.1)
+
+
+def smoothed_slices(frame, cfg, k):
+    image = frame.range_image(cfg)
+    d = cfg.depth
+    for view in slice_columns(image, k)[1]:
+        yield savitzky_golay_smooth(compute_angle_image(view, d.sensor_height),
+                                    d.smoothing_window, d.smoothing_order)
+
+
+def threshold_pairs(d):
+    return [(d.seed_threshold, d.propagation_threshold),
+            (2 * d.seed_threshold, 0.5 * d.propagation_threshold),
+            (0.5 * d.seed_threshold, 2 * d.propagation_threshold)]
+
+
+def test_street_frame_slices_match_lattice_oracle():
+    cfg = default_config()
+    xyz, intensity, _ = simulate_scan(make_street_scene(7), (0.0, 0.0), seed=7)
+    frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=intensity))
+    for k in (1, 2, 5):
+        for img in smoothed_slices(frame, cfg, k):
+            for seed_t, prop_t in threshold_pairs(cfg.depth):
+                assert_labels_match(img, lattice_oracle, seed_t, prop_t)
+
+
+def test_ssl_capture_slices_match_lattice_oracle():
+    cfg = default_config()
+    cfg.depth.sensor_height = cfg.ssl.sensor_height
+    frame = frame_from_ssl(decode_ssl_frame(make_ssl_capture(9), cfg.ssl.parity))
+    for k in (1, 5):
+        for img in smoothed_slices(frame, cfg, k):
+            for seed_t, prop_t in threshold_pairs(cfg.depth):
+                assert_labels_match(img, lattice_oracle, seed_t, prop_t)
+
 
 def test_bfs_all_zero_labels_every_valid_pixel():
     img = AngleImage(angle=np.zeros((10, 12)), valid=np.ones((10, 12), dtype=bool))

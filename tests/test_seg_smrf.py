@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -372,12 +373,35 @@ def test_area_bound_failure_names_its_slice():
         run_sliced(frame, "smrf", 1, 1, default_config())
 
 
-def test_cli_import_leaves_scipy_spatial_out():
+SCIPY_PROBE = """
+import json, sys
+import groundslice, groundslice.cli
+from groundslice import default_config
+from groundslice.kitti_io import PointCloud
+from groundslice.parallel_exec import frame_from_cloud, run_sliced
+from groundslice.synthetic import make_street_scene, simulate_scan
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+cfg = default_config()
+xyz, intensity, _ = simulate_scan(make_street_scene(3), (0.0, 0.0), seed=3, rows=16, cols=256)
+frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=intensity))
+run_sliced(frame, "depth", 2, 1, cfg)
+after_depth = scipy_modules()
+run_sliced(frame, "smrf", 1, 1, cfg)
+print(json.dumps([after_depth, scipy_modules()]))
+"""
+
+
+def test_depth_run_loads_no_scipy_and_smrf_loads_ndimage():
+    """The depth path is numpy-only; scipy loads with the first smrf inpainting."""
     src = str(Path(groundslice.__file__).resolve().parent.parent)
-    code = "import sys, groundslice.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    after_depth, after_smrf = json.loads(out.stdout.strip().splitlines()[-1])
+    assert after_depth == []
+    assert "scipy.ndimage" in after_smrf
 
 
 def test_rasterize_rejects_bad_input():

@@ -1,12 +1,14 @@
 import functools
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groundslice.parallel_exec import frame_from_ssl, run_sliced
 from groundslice.ssl_frame import (FRAME_COLS, RECORDS_PER_FRAME,
                                    RECORDS_PER_SUBFRAME, SUBFRAME_COLS,
                                    SUBFRAME_COUNT, SUBFRAME_ROWS,
@@ -164,9 +166,16 @@ def test_column_partition_exact():
     assert (counts == SUBFRAME_COLS).all()
 
 
+def sslraw_valid_oracle(xyz):
+    """Per record: not all three coordinates zero, and all three finite."""
+    return np.array([any(v != 0.0 for v in rec) and all(math.isfinite(v) for v in rec)
+                     for rec in xyz.tolist()])
+
+
 def test_sslraw_validity_matches_all_zero_rule(tmp_path):
     # every record is one of: signed zeros, NaN, infinities or a single
-    # nonzero component in any position
+    # nonzero component in any position; all-zero and non-finite records
+    # are invalid
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0e-30],
                         dtype=np.float32)
     rng = np.random.default_rng(17)
@@ -181,8 +190,9 @@ def test_sslraw_validity_matches_all_zero_rule(tmp_path):
     records.astype("<f4").tofile(path)
     loaded = load_sslraw(path)
     xyz = records.astype(np.float64)
-    np.testing.assert_array_equal(loaded.valid, ~np.all(xyz == 0, axis=1))
+    np.testing.assert_array_equal(loaded.valid, sslraw_valid_oracle(xyz))
     assert loaded.valid.any() and not loaded.valid.all()
+    assert loaded.xyz.tobytes() == xyz.tobytes()
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -240,7 +250,7 @@ def test_fuzzed_sslraw_gives_a_frame_or_names_the_file(tmp_path_factory, edits,
     assert resize == 0
     xyz = records.reshape(-1, 3).astype(np.float64)
     assert raw.xyz.tobytes() == xyz.tobytes()
-    np.testing.assert_array_equal(raw.valid, ~np.all(xyz == 0, axis=1))
+    np.testing.assert_array_equal(raw.valid, sslraw_valid_oracle(xyz))
     cloud, _ = ssl_to_point_cloud(decode_ssl_frame(raw))
     assert len(cloud) == int(raw.valid.sum())
     assert len(cloud) == 0 if all_invalid else len(cloud) > 0
@@ -272,6 +282,8 @@ CSV_TOKENS = ["nan", "inf", "-inf", "1e308", "-1.7976931348623157e308", "1e400",
 
 
 @settings(max_examples=30, deadline=None)
+# dropping a line and cutting "1,2,3,1,5" to "1,2,3,1" leaves a valid last record
+@example(edits=[], all_invalid=True, drop=1, extra="1,2,3,1,5", cut=3)
 @given(edits=st.lists(st.tuples(st.integers(0, RECORDS_PER_FRAME - 1), st.integers(0, 3),
                                 st.sampled_from(CSV_TOKENS)), max_size=6),
        all_invalid=st.booleans(), drop=st.integers(0, 2),
@@ -296,8 +308,12 @@ def test_fuzzed_csv_gives_a_frame_or_names_the_file(tmp_path_factory, edits, all
         return
     assert want is not None
     assert raw.xyz.tobytes() == want[:, :3].tobytes()
-    np.testing.assert_array_equal(raw.valid, want[:, 3] != 0)
-    assert not raw.valid.any() if all_invalid else raw.valid.any()
+    # a valid record has a nonzero flag and four finite fields; edits and the
+    # extra line can make one even in an all-invalid capture
+    want_valid = (want[:, 3] != 0) & np.isfinite(want).all(axis=1)
+    np.testing.assert_array_equal(raw.valid, want_valid)
+    cloud, _ = ssl_to_point_cloud(decode_ssl_frame(raw))
+    assert len(cloud) == int(want_valid.sum())
 
 
 def test_empty_csv_names_the_file_without_a_warning(tmp_path):
@@ -307,3 +323,38 @@ def test_empty_csv_names_the_file_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"CSV fixture {path} must have 78750 rows")):
             load_ssl_csv(path)
+
+
+def test_non_finite_records_load_invalid_and_segment_without_warnings(tmp_path, fast_cfg):
+    raw = make_ssl_capture(seed=1, dropout=0.03)
+    # float32 values, so that the .sslraw and the CSV form load the same numbers
+    records = np.where(raw.valid[:, None], raw.xyz, 0.0).astype(np.float32).astype(np.float64)
+    hit = np.flatnonzero(raw.valid)[[5, 7, 4000, 40000, 76000]]
+    records[hit[0], 0] = np.nan
+    records[hit[1]] = (np.inf, 0.0, 0.0)
+    records[hit[2], 1] = -np.inf
+    records[hit[3]] = np.nan
+    records[hit[4], 2] = np.inf
+    dropped = records.copy()
+    dropped[hit] = 0.0
+    path = tmp_path / "odd.sslraw"
+    records.astype("<f4").tofile(path)
+    csv_path = tmp_path / "odd.csv"
+    save_ssl_csv(SslRawFrame(xyz=records, valid=raw.valid), csv_path)
+    want = SslRawFrame(xyz=dropped, valid=raw.valid & ~np.isin(np.arange(RECORDS_PER_FRAME), hit))
+
+    cfg = fast_cfg
+    cfg.depth.sensor_height = cfg.ssl.sensor_height
+    ref = frame_from_ssl(decode_ssl_frame(want))
+    for loaded in (load_sslraw(path), load_ssl_csv(csv_path)):
+        np.testing.assert_array_equal(loaded.valid, want.valid)
+        assert np.isnan(loaded.xyz[hit[0], 0]) and loaded.xyz[hit[1], 0] == np.inf
+        frame = frame_from_ssl(decode_ssl_frame(loaded))
+        # a non-finite record segments exactly as a dropped one
+        np.testing.assert_array_equal(frame.cloud.xyz, ref.cloud.xyz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("depth", "smrf", "ransac"):
+                mask, _ = run_sliced(frame, method, 5, 1, cfg)
+                want_mask, _ = run_sliced(ref, method, 5, 1, cfg)
+                np.testing.assert_array_equal(mask, want_mask)
