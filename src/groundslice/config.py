@@ -17,6 +17,9 @@ from .kitti_io import GROUND_CLASS_PRESETS
 
 BACKENDS = ("process", "serial")  # parallel.backend
 PARITIES = ("even", "odd")  # ssl.parity
+# depth.smoothing_window: smoothing weights are tabled per validity pattern,
+# 2**window columns, 832 KiB at 13
+MAX_SMOOTHING_WINDOW = 13
 
 
 @dataclass
@@ -186,8 +189,9 @@ def load_config(path) -> RunConfig:
         if not (value >= low if closed else value > low):  # NaN fails too
             raise ValueError(f"{key} must be {'>=' if closed else '>'} {low}, got {value}")
     window, order = cfg.depth.smoothing_window, cfg.depth.smoothing_order
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"depth.smoothing_window must be an odd integer >= 3, got {window}")
+    if window < 3 or window % 2 == 0 or window > MAX_SMOOTHING_WINDOW:
+        raise ValueError("depth.smoothing_window must be an odd integer in 3.."
+                         f"{MAX_SMOOTHING_WINDOW}, got {window}")
     if not 1 <= order < window:
         raise ValueError("depth.smoothing_order must satisfy 1 <= order < smoothing_window,"
                          f" got {order}")

@@ -70,38 +70,13 @@ def project_spherical(xyz: np.ndarray, rows: int, cols: int,
     if not v_top > v_bottom:
         raise ValueError(f"degenerate vertical span {vertical_span}")
 
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    rng = np.sqrt(x * x + y * y + z * z)
-    azimuth = np.arctan2(y, x)
-    elevation = np.arctan2(z, np.hypot(x, y))
-
-    az_start = -math.pi
-    col = np.floor((azimuth - az_start) / (2.0 * math.pi) * cols).astype(np.int64)
-    col %= cols  # azimuth == +pi wraps into the -pi bin
-
-    in_span = (elevation <= v_top) & (elevation >= v_bottom)
-    row_f = (v_top - elevation) / (v_top - v_bottom) * rows
-    row = np.minimum(np.floor(row_f).astype(np.int64), rows - 1)
-
-    keep = in_span & (rng > 0)
-    idx = np.nonzero(keep)[0]
-    bins = row[idx] * cols + col[idx]
-    alone = np.bincount(bins, minlength=rows * cols)[bins] == 1
-    # nearest-wins with lowest-index tiebreak, decided only where points
-    # share a bin: the stable sort by (bin, range) puts each bin's winner first
-    shared = idx[~alone]
-    shared_bins = bins[~alone]
-    order = np.lexsort((rng[shared], shared_bins))
-    shared = shared[order]
-    shared_bins = shared_bins[order]
-    first = np.ones(shared.size, dtype=bool)
-    first[1:] = shared_bins[1:] != shared_bins[:-1]
-
-    point_index = np.full(rows * cols, EMPTY, dtype=np.int64)
-    point_index[bins[alone]] = idx[alone]
-    point_index[shared_bins[first]] = shared[first]
-    # EMPTY (-1) picks the zero row appended after the last point
-    out_xyz = np.vstack((xyz, np.zeros((1, 3)))).take(point_index, axis=0)
+    point_index, n_binned = _nearest_in_each_pixel(xyz, rows, cols, v_top, v_bottom)
+    if len(xyz):
+        # EMPTY (-1) reads the last point, whose copies are then zeroed
+        out_xyz = xyz.take(point_index, axis=0)
+        out_xyz[np.flatnonzero(point_index == EMPTY)] = 0.0
+    else:
+        out_xyz = np.zeros((rows * cols, 3))
     out_xyz = out_xyz.reshape(rows, cols, 3)
     point_index = point_index.reshape(rows, cols)
 
@@ -110,11 +85,72 @@ def project_spherical(xyz: np.ndarray, rows: int, cols: int,
         cols=cols,
         xyz=out_xyz,
         point_index=point_index,
-        azimuth_span=(az_start, math.pi),
+        azimuth_span=(-math.pi, math.pi),
         vertical_span=(v_top, v_bottom),
         n_points=len(xyz),
-        n_out_of_span=int(len(xyz) - keep.sum()),
+        n_out_of_span=len(xyz) - n_binned,
     )
+
+
+def _nearest_in_each_pixel(xyz: np.ndarray, rows: int, cols: int, v_top: float,
+                           v_bottom: float) -> tuple[np.ndarray, int]:
+    """Flat pixel -> index of the nearest point binned there (EMPTY if none).
+
+    Also returns how many points were binned. Each formula runs in place, in
+    the order and rounding of its plain form, so that few point-length
+    arrays are live at once.
+    """
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    rng = x * x  # sqrt(x*x + y*y + z*z)
+    tmp = y * y
+    rng += tmp
+    np.multiply(z, z, out=tmp)
+    rng += tmp
+    np.sqrt(rng, out=rng)
+
+    # elevation = atan2(z, hypot(x, y)); row = floor((v_top - elevation) / span * rows)
+    elevation = np.arctan2(z, np.hypot(x, y, out=tmp), out=tmp)
+    keep = elevation <= v_top
+    keep &= elevation >= v_bottom
+    keep &= rng > 0
+    np.subtract(v_top, elevation, out=tmp)
+    tmp /= v_top - v_bottom
+    tmp *= rows
+    bins = np.floor(tmp, out=tmp).astype(np.int64)
+    np.minimum(bins, rows - 1, out=bins)
+    bins *= cols
+
+    # column = floor((atan2(y, x) + pi) / 2pi * cols)
+    np.arctan2(y, x, out=tmp)
+    tmp += math.pi
+    tmp /= 2.0 * math.pi
+    tmp *= cols
+    col = np.floor(tmp, out=tmp).astype(np.int64)
+    del elevation, tmp
+    col[col == cols] = 0  # azimuth == +pi wraps into the -pi bin
+    bins += col
+    del col
+
+    idx = np.flatnonzero(keep)
+    if idx.size < bins.size:  # else idx is every point in order
+        bins = bins.take(idx)
+    point_index = np.full(rows * cols, EMPTY, dtype=np.int64)
+    point_index[bins] = idx  # a bin shared by several points holds one of them
+    lost = point_index.take(bins) != idx
+    if lost.any():
+        # nearest-wins with lowest-index tiebreak, decided only where points
+        # share a bin: the stable sort by (bin, range) puts each bin's winner first
+        in_shared = np.zeros(rows * cols, dtype=bool)
+        in_shared[bins[lost]] = True
+        sharing = in_shared.take(bins)
+        shared, shared_bins = idx[sharing], bins[sharing]
+        order = np.lexsort((rng[shared], shared_bins))
+        shared = shared[order]
+        shared_bins = shared_bins[order]
+        first = np.ones(shared.size, dtype=bool)
+        first[1:] = shared_bins[1:] != shared_bins[:-1]
+        point_index[shared_bins[first]] = shared[first]
+    return point_index, idx.size
 
 
 def from_ssl_frame(frame: SslFrame) -> tuple[RangeImage, PointCloud]:

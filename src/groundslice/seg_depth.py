@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DepthConfig
+from .config import MAX_SMOOTHING_WINDOW, DepthConfig
 from .range_image import RangeImage
 
 
@@ -48,30 +48,34 @@ def compute_angle_image(image: RangeImage, sensor_height: float = 1.73) -> Angle
     """
     if image.rows < 2:
         raise ValueError("angle image needs at least 2 rows")
+    rows, cols = image.point_index.shape
     valid = image.point_index != -1
-    d = np.hypot(image.xyz[:, :, 0], image.xyz[:, :, 1])
-    z = image.xyz[:, :, 2]
+    # row `rows` is the virtual ground point below every column
+    d = np.empty((rows + 1, cols))
+    np.hypot(image.xyz[:, :, 0], image.xyz[:, :, 1], out=d[:rows])
+    d[rows] = 0.0
+    z = np.empty((rows + 1, cols))
+    z[:rows] = image.xyz[:, :, 2]
+    z[rows] = -sensor_height
 
-    # flip so the bottom row is index 0, then "previous valid below" becomes
-    # a running maximum of seen row indices
-    vf = valid[::-1]
-    df = d[::-1]
-    zf = z[::-1]
-    rows, cols = vf.shape
-    row_idx = np.where(vf, np.arange(rows)[:, None], -1)
-    last_below = np.maximum.accumulate(row_idx, axis=0)
-    prev = np.full((rows, cols), -1, dtype=np.int64)
-    prev[1:] = last_below[:-1]
+    # flat index of the nearest valid pixel at or below each row: valid
+    # pixels hold their own, empty ones the ground row's, and a running
+    # minimum from the bottom up carries the nearest one upward
+    below = np.arange((rows + 1) * cols, dtype=np.intp).reshape(rows + 1, cols)
+    np.copyto(below[:rows], below[rows], where=~valid)
+    up = below[::-1]
+    np.minimum.accumulate(up, axis=0, out=up)
+    prev = below[1:]  # strictly below
 
-    col_idx = np.broadcast_to(np.arange(cols), (rows, cols))
-    safe_prev = np.maximum(prev, 0)
-    prev_d = np.where(prev >= 0, df[safe_prev, col_idx], 0.0)
-    prev_z = np.where(prev >= 0, zf[safe_prev, col_idx], -sensor_height)
-
-    angle_f = np.zeros((rows, cols), dtype=np.float64)
-    np.arctan2(np.abs(zf - prev_z), np.abs(df - prev_d), out=angle_f, where=vf)
-    angle_f[~vf] = 0.0
-    return AngleImage(angle=angle_f[::-1].copy(), valid=valid.copy())
+    dz = z.take(prev)
+    np.subtract(z[:rows], dz, out=dz)
+    np.abs(dz, out=dz)
+    dd = d.take(prev)
+    np.subtract(d[:rows], dd, out=dd)
+    np.abs(dd, out=dd)
+    angle = np.zeros((rows, cols))
+    np.arctan2(dz, dd, out=angle, where=valid)
+    return AngleImage(angle=angle, valid=valid)
 
 
 def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleImage:
@@ -83,9 +87,12 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
     fitting whatever valid samples remain (the fit degree drops to
     n_samples - 1 when fewer than order + 1 are available); a pixel with no
     valid neighbor passes through unchanged. Validity flags are untouched.
+    The window is at most MAX_SMOOTHING_WINDOW.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
+    if window > MAX_SMOOTHING_WINDOW:
+        raise ValueError(f"window must be at most {MAX_SMOOTHING_WINDOW}, got {window}")
     if order < 1 or order >= window:
         raise ValueError(f"order must satisfy 1 <= order < window, got {order}")
 
@@ -97,44 +104,72 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
     # window offset i of pixel (r, c) sits at (r + i, c) of the padded
     # copies; padding and invalid pixels read as 0 with validity off
     pad_a = np.zeros((rows + 2 * half, cols), dtype=np.float64)
-    pad_v = np.zeros((rows + 2 * half, cols), dtype=bool)
-    pad_a[half:half + rows] = np.where(v, a, 0.0)
+    pad_v = np.zeros((rows + 2 * half, cols), dtype=np.uint8)
+    np.copyto(pad_a[half:half + rows], a, where=v)
     pad_v[half:half + rows] = v
 
-    pattern = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(window):
-        pattern |= pad_v[i:i + rows].astype(np.int64) << i
-    pattern[~v] = 0
-
-    # one coefficient per offset and validity pattern present; absent
-    # offsets get 0, and pattern 0 (invalid) and lone samples pass through
-    patterns, which = np.unique(pattern.ravel(), return_inverse=True)
-    which = which.reshape(rows, cols)
-    table = np.zeros((window, patterns.size), dtype=np.float64)
-    fitted = np.zeros(patterns.size, dtype=bool)
-    for k, p in enumerate(patterns.tolist()):
-        row = _sg_center_row(p, window, order)
-        if row is not None:
-            table[:, k] = row
-            fitted[k] = True
+    # bit i: offset i holds a valid sample; an invalid pixel lacks the center
+    # bit. 16 bits hold every window up to the cap, and shift fastest.
+    pattern = np.zeros((rows, cols), dtype=np.uint16)
+    for i in reversed(range(window)):
+        pattern <<= 1
+        pattern |= pad_v[i:i + rows]
+    pattern = pattern.astype(np.intp)
+    table = _sg_table(window, order)
+    table.fill(pattern)
 
     # ascending offsets, absent ones adding 0 * 0: each pixel's float sum
     # runs in the order of its own present samples
-    acc = np.zeros((rows, cols), dtype=np.float64)
+    out = np.zeros((rows, cols), dtype=np.float64)
+    term = np.empty((rows, cols), dtype=np.float64)
     for i in range(window):
-        acc += table[i][which] * pad_a[i:i + rows]
-    out = np.where(fitted[which], acc, a)
+        table.weights[i].take(pattern, out=term, mode="clip")  # "raise" buffers `out`
+        term *= pad_a[i:i + rows]
+        out += term
+    np.copyto(out, a, where=table.passthrough.take(pattern))
     return AngleImage(angle=out, valid=v.copy())
 
 
-@functools.lru_cache(maxsize=4096)
+class _SgTable:
+    """Center-fit weights of one (window, order), indexed by validity pattern.
+
+    Column p holds the weights of pattern p, or zeros and a pass-through
+    flag when p lacks the center sample or has no second one. Columns are
+    filled as their patterns first occur; callers only read.
+    """
+
+    def __init__(self, window: int, order: int):
+        self.window, self.order = window, order
+        self.weights = np.zeros((window, 1 << window), dtype=np.float64)
+        self.passthrough = np.ones(1 << window, dtype=bool)
+        self._filled = np.zeros(1 << window, dtype=bool)
+
+    def fill(self, pattern: np.ndarray) -> None:
+        seen = self._filled.take(pattern)
+        if seen.all():
+            return
+        for p in np.unique(pattern[~seen]).tolist():
+            row = _sg_center_row(p, self.window, self.order)
+            if row is not None:
+                self.weights[:, p] = row
+                self.passthrough[p] = False
+            self._filled[p] = True  # after the column, for a concurrent reader
+
+
+@functools.lru_cache(maxsize=8)
+def _sg_table(window: int, order: int) -> _SgTable:
+    return _SgTable(window, order)
+
+
 def _sg_center_row(pattern: int, window: int, order: int):
     """Weights giving the LSQ fit's value at the window center, or None.
 
     Bit i of pattern marks offset i - window // 2 as a valid sample; absent
-    offsets weigh 0. None when fewer than 2 samples are present. The cache
-    is bounded; a window of w has at most 2**w patterns, 32 at w = 5.
+    offsets weigh 0. None when the center sample is absent or no other is
+    present.
     """
+    if not (pattern >> (window // 2)) & 1:
+        return None
     pos = [i for i in range(window) if (pattern >> i) & 1]
     n = len(pos)
     if n < 2:
@@ -145,7 +180,6 @@ def _sg_center_row(pattern: int, window: int, order: int):
     # value of the LSQ fit at the window center = first row of pinv
     row = np.zeros(window, dtype=np.float64)
     row[pos] = np.linalg.pinv(vander)[0]
-    row.setflags(write=False)
     return row
 
 
@@ -200,11 +234,22 @@ def bfs_ground_label(angles: AngleImage, seed_threshold: float,
     parent = np.arange(run_count + 1)
     while lo.size:
         np.minimum.at(parent, hi, lo)
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+        # only roots just hooked can head chains: when they are few, jump
+        # just those until each points at a root and let one gather carry
+        # every other entry along; whole passes cost less when most moved
+        if 2 * hi.size < parent.size:
+            chained = hi
+            while chained.size:
+                up = parent[parent[chained]]
+                parent[chained] = up
+                chained = chained[parent[up] != up]
+            parent = parent[parent]
+        else:
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
         lo, hi = parent[lo], parent[hi]
         cross = lo != hi
         lo, hi = np.minimum(lo[cross], hi[cross]), np.maximum(lo[cross], hi[cross])

@@ -201,6 +201,7 @@ BAD_NUMBERS = {
     "projection_cols": "[projection]\ncols = -4\n",
     "depth_window_even": "[depth]\nsmoothing_window = 4\n",
     "depth_window_small": "[depth]\nsmoothing_window = 1\nsmoothing_order = 1\n",
+    "depth_window_large": "[depth]\nsmoothing_window = 15\n",
     "depth_order_zero": "[depth]\nsmoothing_order = 0\n",
     "depth_order_window": "[depth]\nsmoothing_window = 5\nsmoothing_order = 5\n",
 }

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from groundslice.config import (default_config, dump_config, load_config,
-                                save_config)
+from groundslice.config import (MAX_SMOOTHING_WINDOW, default_config, dump_config,
+                                load_config, save_config)
 
 
 def test_defaults_cover_documented_values():
@@ -85,4 +85,15 @@ def test_numeric_error_names_key_and_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[smrf]\ncell_size = -0.5\n")
     with pytest.raises(ValueError, match=r"smrf\.cell_size must be > 0, got -0\.5"):
+        load_config(path)
+
+
+def test_smoothing_window_capped(tmp_path):
+    path = tmp_path / "window.cfg"
+    path.write_text(f"[depth]\nsmoothing_window = {MAX_SMOOTHING_WINDOW}\n")
+    assert load_config(path).depth.smoothing_window == MAX_SMOOTHING_WINDOW
+    path.write_text(f"[depth]\nsmoothing_window = {MAX_SMOOTHING_WINDOW + 2}\n")
+    with pytest.raises(ValueError, match=rf"smoothing_window must be an odd integer in "
+                                         rf"3\.\.{MAX_SMOOTHING_WINDOW}, got "
+                                         rf"{MAX_SMOOTHING_WINDOW + 2}"):
         load_config(path)

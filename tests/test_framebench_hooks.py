@@ -1,9 +1,10 @@
 """The benchmark's hooks into the library still fit its signatures.
 
 framebench/checks.py wraps `seg_ransac.count_inliers` under positional
-arguments, and framebench/trace_layers.py swaps module attributes of the
-segmenters, projection and executor for timing wrappers. A signature or
-call-order change that breaks either shows up here.
+arguments and recomputes depth masks from `compute_angle_image` and
+`savitzky_golay_smooth`, and framebench/trace_layers.py swaps module
+attributes of the segmenters, projection and executor for timing wrappers.
+A signature or call-order change that breaks either shows up here.
 """
 
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from groundslice import default_config
 from groundslice.parallel_exec import frame_from_cloud, run_sliced
-from groundslice.synthetic import make_random_cloud
+from groundslice.synthetic import make_random_cloud, write_sequence
 
 FRAMEBENCH = str(Path(__file__).resolve().parent.parent / "framebench")
 
@@ -37,6 +38,20 @@ def test_plane_capture_checks_a_ransac_frame(framebench):
         mask, _ = run_sliced(frame, "ransac", 1, 1, cfg)
     assert capture.planes
     assert checks.ransac_error(mask, frame.cloud.xyz, capture.planes, cfg.ransac) is None
+
+
+def test_depth_check_passes_a_street_depth_frame(framebench, tmp_path):
+    checks, _ = framebench
+    from workloads import WORKLOADS, input_files, load_run_config, run_frame
+
+    wl = WORKLOADS["street_depth"]
+    write_sequence(tmp_path, "00", 1, seed=5)
+    (path,) = input_files(wl, tmp_path)
+    cfg = load_run_config(wl)
+    n_points, masks = run_frame(wl, path, cfg, 1)
+    ious = []
+    assert checks.frame_errors(wl, path, cfg, n_points, masks, [], ious) == []
+    assert len(ious) == 1
 
 
 def test_spans_record_every_traced_layer(framebench):

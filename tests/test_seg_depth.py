@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundslice import default_config
-from groundslice.config import DepthConfig
+from groundslice.config import MAX_SMOOTHING_WINDOW, DepthConfig
 from groundslice.kitti_io import PointCloud
 from groundslice.parallel_exec import frame_from_cloud, frame_from_ssl
 from groundslice.range_image import merge_masks, project_spherical, slice_columns
@@ -220,8 +220,23 @@ def test_sg_lone_sample_passthrough():
     assert sm.angle[0, 0] == 0.3
 
 
+def test_sg_matches_direct_lsq_oracle_at_the_window_cap(rng):
+    rows, cols = 80, 3
+    values = rng.uniform(0.0, 1.5, (rows, cols))
+    valid = rng.uniform(size=(rows, cols)) < 0.8
+    img = AngleImage(angle=values * valid, valid=valid)
+    for order in (2, 4):
+        sm = savitzky_golay_smooth(img, MAX_SMOOTHING_WINDOW, order)
+        for c in range(cols):
+            want = direct_lsq_oracle((values * valid)[:, c], valid[:, c],
+                                     MAX_SMOOTHING_WINDOW, order)
+            assert np.abs(sm.angle[valid[:, c], c] - want[valid[:, c]]).max() < 1e-9
+
+
 def test_sg_invalid_parameters():
     img = column_image([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="at most"):
+        savitzky_golay_smooth(img, MAX_SMOOTHING_WINDOW + 2, 2)
     with pytest.raises(ValueError):
         savitzky_golay_smooth(img, 4, 2)
     with pytest.raises(ValueError):
