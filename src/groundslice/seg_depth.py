@@ -236,8 +236,10 @@ def bfs_ground_label(angles: AngleImage, seed_threshold: float,
         np.minimum.at(parent, hi, lo)
         # only roots just hooked can head chains: when they are few, jump
         # just those until each points at a root and let one gather carry
-        # every other entry along; whole passes cost less when most moved
-        if 2 * hi.size < parent.size:
+        # every other entry along. A step of that costs a few whole passes'
+        # worth per entry, so whole passes win from about a third of the runs
+        # hooked, as in every first round (BENCH_14.json labeller_in_process)
+        if 3 * hi.size < parent.size:
             chained = hi
             while chained.size:
                 up = parent[parent[chained]]
