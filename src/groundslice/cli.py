@@ -20,7 +20,6 @@ from .metrics import aggregate, confusion, f1, iou, write_frame_csv, write_summa
 from .parallel_exec import (METHODS, BenchmarkRecord, SliceExecutor,
                             frame_from_cloud, frame_from_ssl, run_sliced,
                             time_baseline, write_bench_csv)
-from .range_image import from_ssl_frame
 
 
 class UsageError(Exception):
@@ -99,22 +98,35 @@ def _load_ssl_input(path, parity: str) -> sslmod.SslFrame:
     return sslmod.decode_ssl_frame(raw, parity)
 
 
-def _record_mask_kitti(mask: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    """Expand a cloud-aligned mask back to raw record order (dropped -> 0)."""
-    n_raw = mask.size + dropped.size
-    out = np.zeros(n_raw, dtype=np.uint8)
-    keep = np.ones(n_raw, dtype=bool)
-    keep[dropped] = False
-    out[keep] = mask.astype(np.uint8)
-    return out
+def _load_inputs(args, cfg: RunConfig, method: str | None = None) -> list:
+    """One (frame, record_of_point, n_records) triple per input frame.
+
+    record_of_point[i] is the file record that cloud point i was read from;
+    records with no point (dropped scan records, invalid capture cells) are
+    absent from it. A depth run on a capture takes the SSL sensor height.
+    """
+    if args.ssl_file:
+        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
+        if method == "depth":
+            cfg.depth.sensor_height = cfg.ssl.sensor_height
+        frame = frame_from_ssl(ssl, frame_id=Path(args.ssl_file).stem)
+        return [(frame, ssl.index_map[ssl.valid], sslmod.RECORDS_PER_FRAME)]
+    if args.root:
+        inputs = []
+        for frame, _, dropped in _iter_kitti_frames(args, cfg, with_labels=False):
+            n_raw = len(frame.cloud) + dropped.size
+            inputs.append((frame, np.delete(np.arange(n_raw), dropped), n_raw))
+        return inputs
+    raise UsageError(f"{args.command} needs --root or --ssl-file")
 
 
-def _record_mask_ssl(mask: np.ndarray, frame: sslmod.SslFrame) -> np.ndarray:
-    """Per-record mask: valid cells carry their point's flag, invalid are 0."""
-    out = np.zeros(sslmod.RECORDS_PER_FRAME, dtype=np.uint8)
-    record_of_point = frame.index_map[frame.valid]
-    out[record_of_point] = mask.astype(np.uint8)
-    return out
+def _check_depth_slices(frames, k: int, cfg: RunConfig) -> None:
+    """A depth run cuts each frame's range image into k column bands."""
+    for frame in frames:
+        cols = frame.range_image(cfg).cols  # cached for the run
+        if k > cols:
+            raise UsageError(f"--slices {k} out of range 1..{cols} for depth: the range "
+                             f"image of frame {frame.frame_id} has {cols} columns")
 
 
 def cmd_segment(args) -> int:
@@ -124,37 +136,29 @@ def cmd_segment(args) -> int:
     k, p = args.slices, args.units
     if not 1 <= p <= k:
         raise UsageError(f"--units must be in 1..{k} for {k} slices")
+    inputs = _load_inputs(args, cfg, args.method)
+    if args.method == "depth":
+        _check_depth_slices((frame for frame, _, _ in inputs), k, cfg)
+
     out_dir = Path(args.out)
-
-    jobs = []  # (frame, record_mask_fn)
-    if args.ssl_file:
-        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
-        frame = frame_from_ssl(ssl, frame_id=Path(args.ssl_file).stem)
-        if args.method == "depth":
-            cfg.depth.sensor_height = cfg.ssl.sensor_height
-        jobs.append((frame, lambda m, s=ssl: _record_mask_ssl(m, s)))
-    elif args.root:
-        for frame, _, dropped in _iter_kitti_frames(args, cfg, with_labels=False):
-            jobs.append((frame, lambda m, d=dropped: _record_mask_kitti(m, d)))
-    else:
-        raise UsageError("segment needs --root or --ssl-file")
-
     out_dir.mkdir(parents=True, exist_ok=True)
     source = (f"ssl_file={args.ssl_file}" if args.ssl_file else
               f"root={args.root} sequence={args.sequence} frames={args.frames}")
     manifest = [f"# groundslice segment method={args.method} slices={k} units={p} "
                 f"seed={args.seed} {source}", ""]
     with SliceExecutor(p, cfg.parallel.backend) as executor:
-        for frame, to_records in jobs:
+        for frame, record_of_point, n_records in inputs:
             mask, record = run_sliced(frame, args.method, k, p, cfg,
                                       seed=args.seed, executor=executor)
-            (out_dir / f"{frame.frame_id}.mask").write_bytes(to_records(mask).tobytes())
+            out = np.zeros(n_records, dtype=np.uint8)
+            out[record_of_point] = mask
+            (out_dir / f"{frame.frame_id}.mask").write_bytes(out.tobytes())
             manifest.append(f"# frame {frame.frame_id}: {int(mask.sum())} ground, "
                             f"{record.wall_ms:.3f} ms")
     manifest.append("")
     manifest.append(dump_config(cfg))
     (out_dir / "manifest.txt").write_text("\n".join(manifest))
-    print(f"wrote {len(jobs)} mask file(s) to {out_dir}")
+    print(f"wrote {len(inputs)} mask file(s) to {out_dir}")
     return 0
 
 
@@ -174,6 +178,8 @@ def cmd_eval(args) -> int:
 
     loaded = [(frame, truth) for frame, truth, _ in
               _iter_kitti_frames(args, cfg, with_labels=True)]
+    if "depth" in methods:
+        _check_depth_slices((frame for frame, _ in loaded), max(slice_counts), cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -216,16 +222,9 @@ def cmd_bench(args) -> int:
         if not 1 <= p <= k:
             raise UsageError(f"unit count {p} invalid for {k} slices")
 
-    frames = []
-    if args.ssl_file:
-        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
-        if args.method == "depth":
-            cfg.depth.sensor_height = cfg.ssl.sensor_height
-        frames.append(frame_from_ssl(ssl, frame_id=Path(args.ssl_file).stem))
-    elif args.root:
-        frames.extend(f for f, _, _ in _iter_kitti_frames(args, cfg, with_labels=False))
-    else:
-        raise UsageError("bench needs --root or --ssl-file")
+    frames = [frame for frame, _, _ in _load_inputs(args, cfg, args.method)]
+    if args.method == "depth":
+        _check_depth_slices(frames, k, cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,19 +256,11 @@ def _write_ppm(path, rgb: np.ndarray) -> None:
 
 def cmd_render(args) -> int:
     cfg = _load_cfg(args)
-    if args.ssl_file:
-        ssl = _load_ssl_input(args.ssl_file, cfg.ssl.parity)
-        image, _ = from_ssl_frame(ssl)
-        # record mask -> per-point mask over the valid-cell cloud
-        record_of_point = ssl.index_map[ssl.valid]
-    elif args.root:
-        frames = list(_iter_kitti_frames(args, cfg, with_labels=False))
-        if len(frames) != 1:
-            raise UsageError("render needs exactly one frame; narrow --frames")
-        frame, _, dropped = frames[0]
-        image = frame.range_image(cfg)
-    else:
-        raise UsageError("render needs --root or --ssl-file")
+    inputs = _load_inputs(args, cfg)
+    if len(inputs) != 1:
+        raise UsageError("render needs exactly one frame; narrow --frames")
+    frame, record_of_point, n_records = inputs[0]
+    image = frame.range_image(cfg)
 
     pixel_ground = np.zeros((image.rows, image.cols), dtype=bool)
     if args.mask:
@@ -277,19 +268,10 @@ def cmd_render(args) -> int:
         if not mask_path.is_file():
             raise UsageError(f"mask file not found: {mask_path}")
         record_mask = np.frombuffer(mask_path.read_bytes(), dtype=np.uint8).astype(bool)
-        if args.ssl_file:
-            if record_mask.size != sslmod.RECORDS_PER_FRAME:
-                raise UsageError(f"mask length {record_mask.size} does not match "
-                                 f"{sslmod.RECORDS_PER_FRAME} records")
-            point_mask = record_mask[record_of_point]
-        else:
-            n_raw = len(frame.cloud) + dropped.size
-            if record_mask.size != n_raw:
-                raise UsageError(f"mask length {record_mask.size} does not match "
-                                 f"scan record count {n_raw}")
-            keep = np.ones(n_raw, dtype=bool)
-            keep[dropped] = False
-            point_mask = record_mask[keep]
+        if record_mask.size != n_records:
+            raise UsageError(f"mask length {record_mask.size} does not match "
+                             f"{n_records} records")
+        point_mask = record_mask[record_of_point]
         filled = image.point_index != -1
         pixel_ground[filled] = point_mask[image.point_index[filled]]
 

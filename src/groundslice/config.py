@@ -200,12 +200,6 @@ def load_config(path) -> RunConfig:
 
 def _parse_value(raw: str, kind: type):
     raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if kind is int:
         return int(raw)
     if kind is float:

@@ -130,11 +130,7 @@ def load_frame(scan_path, label_path, ground_classes=GROUND_CLASSES_DEFAULT):
             f"label/scan mismatch: {label_path} has {truth.size} labels "
             f"for {n_raw} scan records"
         )
-    if dropped.size:
-        keep = np.ones(n_raw, dtype=bool)
-        keep[dropped] = False
-        truth = truth[keep]
-    return cloud, truth, dropped
+    return cloud, np.delete(truth, dropped), dropped
 
 
 def list_sequence(root, sequence, frame_range=None) -> list[tuple[Path, Path]]:

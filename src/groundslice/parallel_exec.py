@@ -30,7 +30,8 @@ import numpy as np
 from .config import BACKENDS, RunConfig
 from .kitti_io import PointCloud
 from .range_image import (RangeImage, SliceSpec, from_ssl_frame, merge_masks,
-                          partition_azimuth, project_spherical, slice_columns)
+                          partition_azimuth, project_spherical, slice_columns,
+                          slice_intervals)
 from .seg_depth import depth_segment_image
 from .seg_ransac import ransac_ground
 from .seg_smrf import smrf_segment
@@ -92,14 +93,12 @@ def frame_from_ssl(ssl: SslFrame, frame_id: str = "frame") -> Frame:
 
 
 def allocate(k: int, p: int) -> PuAllocation:
-    """Contiguous balanced blocks; early units take the one-larger shares."""
+    """Contiguous balanced blocks, split as columns are; early units take the larger ones."""
     if not 1 <= p <= k:
         raise ValueError(f"unit count {p} out of range 1..{k}")
-    base, rem = divmod(k, p)
-    assignment = []
-    for u in range(p):
-        assignment.extend([u] * (base + (1 if u < rem else 0)))
-    return PuAllocation(slice_count=k, unit_count=p, assignment=tuple(assignment))
+    assignment = tuple(u for u, (lo, hi) in enumerate(slice_intervals(k, p))
+                       for _ in range(lo, hi))
+    return PuAllocation(slice_count=k, unit_count=p, assignment=assignment)
 
 
 class SliceError(RuntimeError):

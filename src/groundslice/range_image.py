@@ -174,7 +174,10 @@ def from_ssl_frame(frame: SslFrame) -> tuple[RangeImage, PointCloud]:
 
 
 def slice_intervals(cols: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Near-equal column partition; the first cols % k slices are one wider."""
+    """Near-equal partition of [0, cols) into k intervals; the first cols % k are one wider.
+
+    Cuts image columns into slices, and slices into unit blocks.
+    """
     base, rem = divmod(cols, k)
     intervals = []
     start = 0

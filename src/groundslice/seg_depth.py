@@ -234,24 +234,11 @@ def bfs_ground_label(angles: AngleImage, seed_threshold: float,
     parent = np.arange(run_count + 1)
     while lo.size:
         np.minimum.at(parent, hi, lo)
-        # only roots just hooked can head chains: when they are few, jump
-        # just those until each points at a root and let one gather carry
-        # every other entry along. A step of that costs a few whole passes'
-        # worth per entry, so whole passes win from about a third of the runs
-        # hooked, as in every first round (BENCH_14.json labeller_in_process)
-        if 3 * hi.size < parent.size:
-            chained = hi
-            while chained.size:
-                up = parent[parent[chained]]
-                parent[chained] = up
-                chained = chained[parent[up] != up]
-            parent = parent[parent]
-        else:
-            while True:
-                jumped = parent[parent]
-                if np.array_equal(jumped, parent):
-                    break
-                parent = jumped
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
         lo, hi = parent[lo], parent[hi]
         cross = lo != hi
         lo, hi = np.minimum(lo[cross], hi[cross]), np.maximum(lo[cross], hi[cross])

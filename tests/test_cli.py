@@ -40,6 +40,101 @@ def test_segment_mask_aligns_with_scan_records(small_dataset, tmp_path):
     assert len(mask) == n_records
 
 
+@pytest.fixture(scope="module")
+def scan_with_dropped_records(tmp_path_factory):
+    """A one-frame sequence whose scan holds NaN and infinite records."""
+    from groundslice.synthetic import write_sequence
+
+    root = tmp_path_factory.mktemp("nan_scan")
+    write_sequence(root, "00", n_frames=1, seed=5, rows=24, cols=180, max_range=30.0)
+    scan = root / "sequences" / "00" / "velodyne" / "000000.bin"
+    records = np.fromfile(scan, dtype="<f4").reshape(-1, 4)
+    dropped = np.arange(7, len(records), 97)
+    records[dropped[0::3], 0] = np.nan
+    records[dropped[1::3], 2] = np.inf
+    records[dropped[2::3], 3] = -np.inf  # a bad intensity drops the record too
+    records.tofile(scan)
+    return root, len(records), dropped
+
+
+def test_segment_and_render_map_dropped_records(scan_with_dropped_records, tmp_path,
+                                                 capsys):
+    from groundslice.config import default_config
+    from groundslice.kitti_io import load_velodyne_bin
+    from groundslice.parallel_exec import frame_from_cloud, run_sliced
+
+    root, n_raw, dropped = scan_with_dropped_records
+    seg_out = tmp_path / "m"
+    assert run_cli("segment", "--root", root, "--method", "depth", "--slices", "2",
+                   "--out", seg_out) == 0
+    mask = np.frombuffer((seg_out / "000000.mask").read_bytes(), dtype=np.uint8)
+    assert mask.size == n_raw  # one byte per raw record
+    assert not mask[dropped].any()
+
+    cfg = default_config()
+    scan = root / "sequences" / "00" / "velodyne" / "000000.bin"
+    cloud, loaded_dropped = load_velodyne_bin(scan)
+    assert np.array_equal(loaded_dropped, dropped)
+    frame = frame_from_cloud(cloud)
+    want, _ = run_sliced(frame, "depth", 2, 1, cfg)
+    assert want.any()
+    assert np.array_equal(np.delete(mask, dropped), want.astype(np.uint8))
+
+    out = tmp_path / "img.ppm"
+    assert run_cli("render", "--root", root, "--mask", seg_out / "000000.mask",
+                   "--out", out) == 0
+    image = frame.range_image(cfg)
+    body = out.read_bytes().split(b"\n", 3)[3]
+    rgb = np.frombuffer(body, dtype=np.uint8).reshape(image.rows, image.cols, 3)
+    red = np.all(rgb == (255, 40, 40), axis=2)
+    filled = image.point_index != -1
+    want_red = np.zeros_like(filled)
+    want_red[filled] = want[image.point_index[filled]]
+    assert want_red.any()
+    assert np.array_equal(red, want_red)
+
+    # a mask of one byte per cloud point is not a record mask
+    capsys.readouterr()
+    bad = tmp_path / "points.mask"
+    bad.write_bytes(want.astype(np.uint8).tobytes())
+    assert run_cli("render", "--root", root, "--mask", bad, "--out", tmp_path / "bad.ppm") == 2
+    assert (f"mask length {len(cloud)} does not match {n_raw} records"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "bad.ppm").exists()
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("segment", "--method", "depth", "--slices", "700"), 625),
+    (("bench", "--method", "depth", "--slices", "700", "--units-set", "1"), 625),
+], ids=["segment", "bench"])
+def test_ssl_depth_slices_over_columns_exit_2(argv, limit, ssl_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--ssl-file", ssl_file, "--out", out) == 2
+    assert f"out of range 1..{limit}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("segment", "--method", "depth", "--slices", "1025"),
+    ("bench", "--method", "depth", "--slices", "1025", "--units-set", "1"),
+    ("eval", "--method", "ransac,depth", "--slices", "1,1025"),
+], ids=["segment", "bench", "eval"])
+def test_scan_depth_slices_over_columns_exit_2(argv, small_dataset, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--root", small_dataset, "--out", out) == 2
+    assert "out of range 1..1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_point_method_slices_not_bounded_by_columns(ssl_file, tmp_path):
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("[ransac]\niterations = 5\n")
+    out = tmp_path / "o"
+    assert run_cli("segment", "--ssl-file", ssl_file, "--method", "ransac",
+                   "--slices", "700", "--config", cfg, "--out", out) == 0
+    assert (out / "cap.mask").stat().st_size == RECORDS_PER_FRAME
+
+
 def test_segment_ssl_full_record_mask(ssl_file, tmp_path):
     out = tmp_path / "sslout"
     code = run_cli("segment", "--ssl-file", ssl_file, "--method", "depth",
