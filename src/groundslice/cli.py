@@ -120,6 +120,12 @@ def _load_inputs(args, cfg: RunConfig, method: str | None = None) -> list:
     raise UsageError(f"{args.command} needs --root or --ssl-file")
 
 
+def _check_slice_counts(counts) -> None:
+    """Refuse a slice count below 1, before the unit counts it bounds are checked."""
+    if min(counts) < 1:
+        raise UsageError("--slices counts must be >= 1")
+
+
 def _check_depth_slices(frames, k: int, cfg: RunConfig) -> None:
     """A depth run cuts each frame's range image into k column bands."""
     for frame in frames:
@@ -134,6 +140,7 @@ def cmd_segment(args) -> int:
     if args.method not in METHODS:
         raise UsageError(f"--method must be one of {METHODS}")
     k, p = args.slices, args.units
+    _check_slice_counts([k])
     if not 1 <= p <= k:
         raise UsageError(f"--units must be in 1..{k} for {k} slices")
     inputs = _load_inputs(args, cfg, args.method)
@@ -169,8 +176,7 @@ def cmd_eval(args) -> int:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
     slice_counts = _parse_int_list(args.slices)
-    if min(slice_counts) < 1:
-        raise UsageError("--slices counts must be >= 1")
+    _check_slice_counts(slice_counts)
     if args.units < 1:
         raise UsageError("--units must be >= 1")
     if not args.root:
@@ -217,6 +223,7 @@ def cmd_bench(args) -> int:
     if args.method not in METHODS:
         raise UsageError(f"--method must be one of {METHODS}")
     k = args.slices
+    _check_slice_counts([k])
     unit_set = _parse_int_list(args.units_set)
     for p in unit_set:
         if not 1 <= p <= k:

@@ -5,16 +5,19 @@ into a minimum-elevation grid, openings with a linearly growing disk window
 peel off protrusions whose height exceeds a slope-scaled threshold, and
 points are classified against the resulting bare-earth surface.
 
-Both grid stages are exact and linear in memory. Empty cells are inpainted
-from the Euclidean distance transform and the lattice ring at the nearest
-distance (lowest z wins a tie), with no k-d tree. The ring offsets come from
-a table indexed by the squared distance D, cached at module level on first
-use and grown by doubling up to RING_TABLE_CAP; a grid whose rings pass the
-cap or whose fill radius passes its shorter side builds its own rings, so
-memory stays linear in the grid cells. The progressive opening ranks the
-grid's values once and runs every disk min/max on the small integer ranks
-in a sentinel-padded flat buffer, walking the disk's column strips; the
-ranks map back to the same elevations.
+Both grid stages are exact, linear in memory and need nothing beyond numpy.
+Empty cells are inpainted from the squared Euclidean distance transform and
+the lattice ring at the nearest distance (lowest z wins a tie), with no k-d
+tree. The transform is a row pass of running maxima and minima followed by
+the lower envelope of parabolas down every column at once, found by rounds
+of exact integer hull elimination. The ring offsets come from a table
+indexed by the squared distance D, cached at module level on first use and
+grown by doubling up to RING_TABLE_CAP; a grid whose rings pass the cap or
+whose fill radius passes its shorter side builds its own rings, so memory
+stays linear in the grid cells. The progressive opening ranks the grid's
+values once and runs every disk min/max on the small integer ranks in a
+sentinel-padded flat buffer, walking the disk's column strips; the ranks
+map back to the same elevations.
 """
 
 from __future__ import annotations
@@ -132,10 +135,93 @@ def _cached_rings(max_d2: int):
     return _ring_table
 
 
+def _squared_edt(occupied: np.ndarray) -> np.ndarray:
+    """Squared Euclidean lattice distance from each cell to the nearest occupied one.
+
+    occupied has at least one cell set; returns D of the same shape (a
+    transposed view). A grid taller than wide is transformed through its
+    transpose; the text below takes ny <= nx. A row pass gives h, the distance
+    along its row from each cell of a row holding an occupied cell to the
+    nearest one, so D at (y, x) is the lower envelope over those rows q of
+    the parabolas (y - q)^2 + h(q, x)^2 down column x (Felzenszwalb and
+    Huttenlocher 2012, Meijster et al. 2000). Column lines run along the
+    shorter side and are reduced all at once, in rounds: a parabola is on the
+    envelope only if its point (q, F = h^2 + q^2) is a vertex of its line's
+    lower convex hull, so each round drops every point on or above the chord
+    through its live neighbours at distance 1, or at distance 2, until none
+    is. The test cross-multiplies slopes, and every product is at most
+    B = ((nx - 1)^2 + (ny - 1)^2) * max(ny - 1, 1), so the transform runs in
+    int32 while B < 2^31 (every grid up to 1,024 cells a side) and in int64
+    otherwise, where B < 2^63 holds for every grid of at most 2^31 cells: the
+    test is exact either way. A line's first and last rows stay, so the rows
+    bound each line. The hull vertex q then owns the y from
+    ceil((F_q - F_p) / (2 (q - p))), its crossing with the vertex p before
+    it, to the next vertex's crossing, and D is read off with np.repeat.
+    """
+    ny, nx = occupied.shape
+    if ny > nx:
+        return _squared_edt(occupied.T).T
+    bound = ((nx - 1) ** 2 + (ny - 1) ** 2) * max(ny - 1, 1)
+    dtype = np.int32 if bound < 1 << 31 else np.int64
+    rows = np.flatnonzero(occupied.any(axis=1))
+    qlo, qhi = int(rows[0]), int(rows[-1])
+    # row pass, laid out one column line after another: (nx, rows.size)
+    occ = occupied[rows].T
+    rows = rows.astype(dtype)
+    col = np.arange(nx, dtype=dtype)[:, None]
+    near = np.where(occ, col, dtype(-nx))  # nearest occupied column at or left of x
+    np.maximum.accumulate(near, axis=0, out=near)
+    f = col - near
+    near = np.where(occ, col, dtype(2 * nx))  # at or right of x
+    np.minimum.accumulate(near[::-1], axis=0, out=near[::-1])
+    np.minimum(f, near - col, out=f)
+    del occ, near
+    f *= f
+    f += rows * rows
+    f = f.ravel()
+    q = np.tile(rows, nx)
+
+    while True:
+        inner = (q != qlo) & (q != qhi)
+        # point i on or above the chord of i - 1 and i + 1: slope in >= slope out
+        df, dq = np.diff(f), np.diff(q)
+        drop = df[:-1] * dq[1:] >= df[1:] * dq[:-1]
+        drop &= inner[1:-1]
+        # the same against i - 2 and i + 2, all five on one line
+        df, dq = f[2:] - f[:-2], q[2:] - q[:-2]
+        far = df[:-2] * dq[2:] >= df[2:] * dq[:-2]
+        far &= inner[1:-3]
+        far &= inner[2:-2]
+        far &= inner[3:-1]
+        drop[1:-1] |= far
+        if not drop.any():
+            break
+        keep = np.ones(q.size, dtype=bool)
+        np.logical_not(drop, out=keep[1:-1])
+        f, q = f[keep], q[keep]
+
+    # each vertex's first y, its crossing with the vertex before it; a line's
+    # first vertex starts at 0, which overwrites the value taken across two
+    # lines (whose divisor max(dq, 1) keeps nonzero)
+    start = np.zeros(q.size, dtype=dtype)
+    np.negative(np.diff(f) // (-2 * np.maximum(np.diff(q), 1)), out=start[1:])
+    np.clip(start, 0, ny, out=start)
+    start[q == qlo] = 0
+    count = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=count[:-1])
+    last = q == qhi
+    count[last] = ny - start[last]
+    d = np.tile(np.arange(ny, dtype=dtype), nx)
+    d -= np.repeat(q, count)
+    d *= d
+    d += np.repeat(f - q * q, count)
+    return d.reshape(nx, ny).T
+
+
 def _inpaint_nearest(elevation: np.ndarray, occupied: np.ndarray) -> None:
     """Fill unoccupied cells from the nearest occupied one, ties to lower z.
 
-    The exact Euclidean distance transform gives each empty cell the squared
+    The exact transform _squared_edt gives each empty cell the squared
     lattice distance D of its nearest occupied cell. The fill is the minimum
     z over the occupied cells on that cell's ring: the lattice offsets with
     dy^2 + dx^2 = D. Rings up to RING_TABLE_CAP come from one cached table
@@ -156,15 +242,9 @@ def _inpaint_nearest(elevation: np.ndarray, occupied: np.ndarray) -> None:
     if ny > nx:
         _inpaint_nearest(elevation.T, occupied.T)
         return
-    from scipy.ndimage import distance_transform_edt  # loaded on the first smrf frame
-
-    empty = ~occupied
-    nearest = distance_transform_edt(empty, return_distances=False,
-                                     return_indices=True)
-    flat = np.flatnonzero(empty)
+    flat = np.flatnonzero(~occupied)
     ey, ex = np.divmod(flat, nx)
-    d2 = (nearest[0].ravel()[flat] - ey) ** 2 + (nearest[1].ravel()[flat] - ex) ** 2
-    del nearest
+    d2 = _squared_edt(occupied)[ey, ex]
     max_d2 = int(d2.max())
     pad = math.isqrt(max_d2)
     if max_d2 < RING_TABLE_CAP and pad <= ny:

@@ -329,6 +329,20 @@ def test_bad_numbers_exit_2(argv, small_dataset, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("segment", "--method", "depth", "--slices", "0"),
+    ("bench", "--method", "depth", "--slices", "0", "--units-set", "1"),
+    ("eval", "--method", "depth", "--slices", "0"),
+], ids=["segment", "bench", "eval"])
+def test_zero_slices_names_slices_exit_2(argv, small_dataset, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--root", small_dataset, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "--slices counts must be >= 1" in err
+    assert "unit" not in err
+    assert not out.exists()
+
+
 def test_parity_flag_validated(ssl_file, tmp_path):
     code = run_cli("decode-ssl", "--ssl-file", ssl_file, "--parity", "even",
                    "--out", tmp_path / "o")

@@ -10,18 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from scipy.ndimage import distance_transform_edt, maximum_filter1d, minimum_filter1d
 from scipy.spatial import cKDTree
 
 import groundslice
 from groundslice import seg_smrf
 from groundslice.config import SmrfConfig
 from groundslice.seg_smrf import (MAX_GRID_SIDE_M, RING_TABLE_CAP, SmrfGrid, _cached_rings,
-                                  _inpaint_nearest, _ranks, classify_points, local_slope,
-                                  morphological_open, progressive_open,
+                                  _inpaint_nearest, _ranks, _squared_edt, classify_points,
+                                  local_slope, morphological_open, progressive_open,
                                   rasterize_min_surface, smrf_segment)
 
 
@@ -151,6 +151,99 @@ def test_inpainting_matches_kdtree_oracle(ny, nx, seed, layout):
     # distinct z, so a tie resolved the wrong way changes the fill
     z = r.permutation(ny * nx).reshape(ny, nx) * 0.25 - 40.0
     assert_fill_matches_oracle(np.where(occupied, z, np.inf), occupied)
+
+
+def edt_oracle(occupied):
+    """Squared distance to the nearest occupied cell, from scipy's feature transform.
+
+    scipy is a test-only dependency: its nearest-feature indices give each
+    cell one nearest occupied cell, so the squared distance is exact.
+    """
+    iy, ix = distance_transform_edt(~occupied, return_distances=False, return_indices=True)
+    y, x = np.indices(occupied.shape)
+    return (iy - y) ** 2 + (ix - x) ** 2
+
+
+def assert_edt_matches_oracle(occupied):
+    got = _squared_edt(occupied)
+    assert got.shape == occupied.shape
+    np.testing.assert_array_equal(got, edt_oracle(occupied))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ny=st.integers(1, 40), nx=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["random", "sparse", "single", "lattice", "full"]))
+@example(ny=1, nx=1, seed=0, layout="single")
+@example(ny=1, nx=40, seed=1, layout="sparse")
+@example(ny=40, nx=1, seed=2, layout="sparse")
+@example(ny=40, nx=3, seed=3, layout="random")
+def test_squared_edt_matches_scipy_oracle(ny, nx, seed, layout):
+    r = np.random.default_rng(seed)
+    occupied = random_occupancy(r, (ny, nx), layout)
+    if layout == "full":
+        occupied[:] = True
+    if not occupied.any():
+        occupied[r.integers(ny), r.integers(nx)] = True
+    assert_edt_matches_oracle(occupied)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), tall=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["random", "sparse", "single"]))
+def test_squared_edt_of_a_line_matches_scipy_oracle(n, tall, seed, layout):
+    # 1 x N: one column line per cell, each of one row; N x 1 goes through
+    # the transpose
+    r = np.random.default_rng(seed)
+    occupied = random_occupancy(r, (1, n), layout)
+    occupied[0, r.integers(n)] = True
+    assert_edt_matches_oracle(occupied.T if tall else occupied)
+
+
+@settings(max_examples=150, deadline=None)
+@given(short=st.integers(1, 39), extra=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["random", "sparse", "lattice"]))
+def test_squared_edt_of_a_tall_grid_matches_scipy_oracle(short, extra, seed, layout):
+    r = np.random.default_rng(seed)
+    occupied = random_occupancy(r, (short + extra, short), layout)
+    occupied[r.integers(short + extra), r.integers(short)] = True
+    assert_edt_matches_oracle(occupied)
+    np.testing.assert_array_equal(_squared_edt(occupied), _squared_edt(occupied.T).T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ny=st.integers(1, 40), nx=st.integers(1, 40), data=st.data())
+def test_squared_edt_of_a_single_cell_is_its_squared_distance(ny, nx, data):
+    y0, x0 = data.draw(st.integers(0, ny - 1)), data.draw(st.integers(0, nx - 1))
+    occupied = np.zeros((ny, nx), dtype=bool)
+    occupied[y0, x0] = True
+    y, x = np.indices((ny, nx))
+    np.testing.assert_array_equal(_squared_edt(occupied), (y - y0) ** 2 + (x - x0) ** 2)
+    assert_edt_matches_oracle(occupied)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ny=st.integers(1, 40), nx=st.integers(1, 40), sy=st.integers(2, 9),
+       sx=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+def test_squared_edt_of_a_regular_lattice_matches_scipy_oracle(ny, nx, sy, sx, seed):
+    # every cell between lattice points is equidistant from two or four of
+    # them, so the envelope's parabolas tie at many cells
+    r = np.random.default_rng(seed)
+    occupied = np.zeros((ny, nx), dtype=bool)
+    occupied[r.integers(min(sy, ny))::sy, r.integers(min(sx, nx))::sx] = True
+    assert_edt_matches_oracle(occupied)
+
+
+@pytest.mark.parametrize("side, dtype", [(1024, np.int32), (1500, np.int64)])
+def test_squared_edt_on_either_side_of_the_int32_bound(side, dtype):
+    # three occupied cells: down the last columns the middle row's point is
+    # about side^2 above the chord of rows side / 3 and 2 side / 3 away, so
+    # the hull products come near 0.74 side^3, past 2^31 at side 1500,
+    # where an int32 transform would wrap
+    occupied = np.zeros((side, side), dtype=bool)
+    occupied[0, -1] = occupied[side // 3, 0] = occupied[-1, 0] = True
+    got = _squared_edt(occupied)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, edt_oracle(occupied))
 
 
 def test_inpainting_tie_on_a_pythagorean_ring():
@@ -379,29 +472,28 @@ import groundslice, groundslice.cli
 from groundslice import default_config
 from groundslice.kitti_io import PointCloud
 from groundslice.parallel_exec import frame_from_cloud, run_sliced
+from groundslice.seg_smrf import rasterize_min_surface
 from groundslice.synthetic import make_street_scene, simulate_scan
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 cfg = default_config()
 xyz, intensity, _ = simulate_scan(make_street_scene(3), (0.0, 0.0), seed=3, rows=16, cols=256)
+assert rasterize_min_surface(xyz, cfg.smrf.cell_size).inpainted.any()
 frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=intensity))
-run_sliced(frame, "depth", 2, 1, cfg)
-after_depth = scipy_modules()
-run_sliced(frame, "smrf", 1, 1, cfg)
-print(json.dumps([after_depth, scipy_modules()]))
+loaded = {}
+for method, k in (("depth", 2), ("smrf", 1), ("ransac", 1)):
+    run_sliced(frame, method, k, 1, cfg)
+    loaded[method] = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps(loaded))
 """
 
 
-def test_depth_run_loads_no_scipy_and_smrf_loads_ndimage():
-    """The depth path is numpy-only; scipy loads with the first smrf inpainting."""
+def test_depth_smrf_and_ransac_runs_load_no_scipy():
+    """The library is numpy-only: no segmenter, smrf's inpainting included, loads scipy."""
     src = str(Path(groundslice.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    after_depth, after_smrf = json.loads(out.stdout.strip().splitlines()[-1])
-    assert after_depth == []
-    assert "scipy.ndimage" in after_smrf
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == {"depth": [], "smrf": [], "ransac": []}
 
 
 def test_rasterize_rejects_bad_input():
