@@ -199,17 +199,6 @@ def test_squared_edt_of_a_line_matches_scipy_oracle(n, tall, seed, layout):
     assert_edt_matches_oracle(occupied.T if tall else occupied)
 
 
-@settings(max_examples=150, deadline=None)
-@given(short=st.integers(1, 39), extra=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       layout=st.sampled_from(["random", "sparse", "lattice"]))
-def test_squared_edt_of_a_tall_grid_matches_scipy_oracle(short, extra, seed, layout):
-    r = np.random.default_rng(seed)
-    occupied = random_occupancy(r, (short + extra, short), layout)
-    occupied[r.integers(short + extra), r.integers(short)] = True
-    assert_edt_matches_oracle(occupied)
-    np.testing.assert_array_equal(_squared_edt(occupied), _squared_edt(occupied.T).T)
-
-
 @settings(max_examples=100, deadline=None)
 @given(ny=st.integers(1, 40), nx=st.integers(1, 40), data=st.data())
 def test_squared_edt_of_a_single_cell_is_its_squared_distance(ny, nx, data):
