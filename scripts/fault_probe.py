@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minor page faults per depth frame, for the caller and each pool worker.
+"""Minor page faults per depth frame, for the caller and each worker.
 
     python3 scripts/fault_probe.py --kind street --slices 1 --units 1 --seed 1371
     python3 scripts/fault_probe.py --kind ssl --slices 5 --units 2 --pin --seed 1371
@@ -7,10 +7,10 @@
 Runs framebench's frame path (read the file, project or decode, `run_sliced`
 with the depth method) in a closed loop over the seed's framebench inputs,
 generated in a process of their own when missing. After two warm-up frames
-it reads `minflt` from /proc/<pid>/stat of this process and of every pool
-worker, runs whole rounds over the inputs for `--seconds`, reads them again
+it reads `minflt` from /proc/<pid>/stat of this process and of every
+executor worker (its children, from /proc/self/task/*/children), runs whole rounds over the inputs for `--seconds`, reads them again
 and prints one JSON line with the faults per frame. `--pin` restricts the
-process to one vCPU before the pool spawns, as the `ssl_units` workload
+process to one vCPU before the executor starts its workers, as the `ssl_units` workload
 does. The probe sets no allocator policy and no environment variable.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -37,6 +36,15 @@ def minor_faults(pid: int) -> int:
     """Field 10 (minflt) of /proc/<pid>/stat."""
     with open(f"/proc/{pid}/stat") as fh:
         return int(fh.read().rsplit(")", 1)[1].split()[7])
+
+
+def children() -> list[int]:
+    """This process's child processes, from /proc/self/task/*/children."""
+    pids = []
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as fh:
+            pids.extend(int(p) for p in fh.read().split())
+    return sorted(pids)
 
 
 def main() -> int:
@@ -70,8 +78,8 @@ def main() -> int:
     try:
         for path in files[:WARMUP_FRAMES]:
             run_frame(wl, path, cfg, args.units, executor)
-        # the executor's pool workers are this process's only multiprocessing children
-        pids = [os.getpid()] + sorted(p.pid for p in multiprocessing.active_children())
+        # the executor's workers are this process's only children by now
+        pids = [os.getpid()] + children()
         before = [minor_faults(p) for p in pids]
         frames = 0
         t_end = time.monotonic() + args.seconds

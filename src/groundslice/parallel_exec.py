@@ -9,20 +9,30 @@ merged mask never depends on scheduling: any (K, P) run is bit-identical to
 the (K, 1) run.
 
 The caller runs the last unit's block itself: a P-unit `process` executor
-spawns P-1 workers, and `serial` none. A worker's depth slices read a
-shared-memory copy of their columns, so such a task pickles to a small
-`FrameBand`; point slices are pickled whole.
+starts P-1 workers, and `serial` none. A worker is a `python -c` subprocess
+running `_BOOT` on one end of a socket pair; it imports the package when
+its first task arrives. A worker's depth slices read a copy of their
+columns in the executor's frame buffer, a memfd handed to the worker over
+its socket, so such a task pickles to a small `FrameBand`; point slices are
+pickled whole. Nothing is named, so nothing outlives the processes and no
+resource tracker runs. The `process` backend needs POSIX; `serial` runs
+anywhere.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import mmap
+import os
+import pickle
+import socket
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import recv_handle, send_handle
 from typing import NamedTuple
 
 import numpy as np
@@ -110,9 +120,15 @@ class SliceError(RuntimeError):
         self.cause = cause
 
     def __reduce__(self):
-        # pickle the constructor arguments, so a failure raised in a pool
-        # worker arrives in the parent with its slice index
-        return type(self), (self.slice_index, self.cause)
+        # pickle the constructor arguments, so a failure raised in a worker
+        # arrives in the caller with its slice index; a cause that does not
+        # survive a pickle round trip travels as its message
+        cause = self.cause
+        try:
+            pickle.loads(pickle.dumps(cause))
+        except Exception:
+            cause = RuntimeError(str(cause))
+        return type(self), (self.slice_index, cause)
 
 
 class FrameBand(NamedTuple):
@@ -122,7 +138,7 @@ class FrameBand(NamedTuple):
     the worker rebuilds the view that `slice_columns` gives.
     """
 
-    segment: str  # shared-memory name of the frame buffer
+    buffer: int  # generation of the executor's frame buffer
     rows: int
     cols: int  # of the buffer: the frame's leading, worker-bound columns
     lo: int
@@ -139,20 +155,29 @@ def _frame_arrays(buf, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return xyz, point_index
 
 
-# (segment name, SharedMemory) of the one frame buffer this unit process maps
+def _new_frame_buffer(size: int) -> tuple[int, mmap.mmap]:
+    """(fd, mapping) of a nameless file of `size` bytes: a memfd, else an unlinked temp file."""
+    if hasattr(os, "memfd_create"):
+        fd = os.memfd_create("groundslice-frame")
+    else:
+        with tempfile.TemporaryFile() as fh:
+            fd = os.dup(fh.fileno())
+    try:
+        os.ftruncate(fd, size)
+        return fd, mmap.mmap(fd, size)
+    except BaseException:
+        os.close(fd)
+        raise
+
+
+# (buffer generation, read-only mapping) of the one frame buffer this worker maps
 _mapped_frame = None
 
 
 def _band_view(band: FrameBand) -> RangeImage:
-    global _mapped_frame
-    if _mapped_frame is None or _mapped_frame[0] != band.segment:
-        if _mapped_frame is not None:
-            # unmaps even while numpy views of it exist (they hold the mmap,
-            # not a buffer export); a band's view is read only by its task
-            _mapped_frame[1].close()
-            _mapped_frame = None
-        _mapped_frame = (band.segment, shared_memory.SharedMemory(name=band.segment))
-    xyz, point_index = _frame_arrays(_mapped_frame[1].buf, band.rows, band.cols)
+    if _mapped_frame is None or _mapped_frame[0] != band.buffer:
+        raise RuntimeError(f"frame buffer {band.buffer} is not mapped in this process")
+    xyz, point_index = _frame_arrays(_mapped_frame[1], band.rows, band.cols)
     return RangeImage(rows=band.rows, cols=band.hi - band.lo,
                       xyz=xyz[:, band.lo:band.hi],
                       point_index=point_index[:, band.lo:band.hi],
@@ -185,15 +210,76 @@ def _run_unit(tasks) -> list[tuple[int, np.ndarray]]:
     return [(task[1], _segment_slice(task)) for task in tasks]
 
 
-class SliceExecutor:
-    """Reusable pool of processing units; the caller is the last one.
+def _run_unit_on_new_buffer(arg) -> list[tuple[int, np.ndarray]]:
+    """A worker's unit, after mapping the executor's new frame buffer.
 
-    backend "process" spawns units - 1 workers, warmed up at construction so
-    pool startup never lands inside a timed region, and runs the last unit
-    in the caller; "serial" has none and runs every unit in the caller. The
-    executor owns the shared-memory frame buffer its workers' depth tasks
-    read, unlinked by `close()`. A closed executor raises `RuntimeError`, and
-    so does one whose worker died: callers close it and build a new one.
+    `arg` is (buffer generation, tasks). The buffer's fd follows the task on
+    the worker's connection (`conn` of `_BOOT`). The old mapping goes with
+    its last view, which a failed slice's traceback may still hold.
+    """
+    global _mapped_frame
+    import __main__
+
+    generation, tasks = arg
+    fd = recv_handle(__main__.conn)
+    try:
+        _mapped_frame = (generation, mmap.mmap(fd, 0, access=mmap.ACCESS_READ))
+    finally:
+        os.close(fd)
+    return _run_unit(tasks)
+
+
+# A worker's whole program, standard library only: it takes sys.path from
+# the caller, then replies (ok, value) to each (fn, arg) until EOF. The
+# package is imported when the first real task is unpickled.
+_BOOT = """
+import pickle, signal, sys
+from multiprocessing.connection import Connection
+signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C and closes us
+conn = Connection(int(sys.argv[1]))
+sys.path[:] = conn.recv()
+while True:
+    try:
+        data = conn.recv_bytes()
+    except EOFError:
+        break
+    try:
+        fn, arg = pickle.loads(data)
+        reply = True, fn(arg)
+    except Exception as exc:
+        reply = False, exc
+    try:
+        conn.send(reply)
+    except OSError:
+        break
+    except Exception as exc:  # the reply did not pickle
+        conn.send((False, RuntimeError(f"unpicklable reply: {exc}")))
+"""
+
+
+class _Worker:
+    """A worker process on one end of a socket pair; the caller holds the other."""
+
+    def __init__(self):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            # stdin is not inherited: the caller may be reading its own
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", _BOOT, str(theirs.fileno())],
+                pass_fds=[theirs.fileno()], stdin=subprocess.DEVNULL)
+            self.conn = Connection(ours.detach())
+        self.buffer = None  # generation of the frame buffer whose fd it was handed
+
+
+class SliceExecutor:
+    """Reusable processing units; the caller is the last one.
+
+    backend "process" starts units - 1 worker processes, warmed up at
+    construction so start-up never lands inside a timed region, and runs
+    the last unit in the caller; "serial" has none and runs every unit in
+    the caller. The executor owns the frame buffer its workers' depth tasks
+    read, released by `close()`. A closed executor raises `RuntimeError`,
+    and so does one whose worker died: callers close it and build a new one.
     """
 
     def __init__(self, units: int, backend: str = "process"):
@@ -202,33 +288,49 @@ class SliceExecutor:
         self.units = units
         self.backend = backend
         self._closed = False
-        self._frame_buffer: shared_memory.SharedMemory | None = None
-        self._pool = None
+        self._died: str | None = None  # why the executor cannot run again
+        self._frame_buffer: tuple[int, mmap.mmap] | None = None  # (fd, mapping)
+        self._generation = 0  # of the frame buffer; bumped on each replacement
+        self._workers: list[_Worker] = []
         if backend == "process" and units > 1:
-            ctx = multiprocessing.get_context("spawn")
-            self._pool = ProcessPoolExecutor(max_workers=units - 1, mp_context=ctx)
-            # force workers to exist (each runs int()) before any timing happens
             try:
-                for fut in [self._pool.submit(int) for _ in range(units - 1)]:
-                    fut.result()
-            except BrokenProcessPool as exc:
-                self._pool.shutdown()
-                raise self._unit_died(exc) from exc
+                for _ in range(units - 1):
+                    self._workers.append(_Worker())
+                # one round trip each, importing nothing, before any timing happens
+                for worker in self._workers:
+                    worker.conn.send(sys.path)
+                    worker.conn.send((int, 0))
+                for worker in self._workers:
+                    worker.conn.recv()
+            except (EOFError, OSError) as exc:
+                raise self._unit_died() from exc
 
     @property
-    def frame_buffer_name(self) -> str | None:
-        """Shared-memory name of the frame buffer, or None while there is none."""
-        return None if self._frame_buffer is None else self._frame_buffer.name
+    def frame_buffer_generation(self) -> int | None:
+        """Generation of the current frame buffer, or None while there is none."""
+        return None if self._frame_buffer is None else self._generation
 
-    def _unit_died(self, exc: BrokenProcessPool) -> RuntimeError:
-        return RuntimeError(f"a processing unit died; this {self.units}-unit "
-                            f"executor cannot run again: {exc}")
+    def _stop_workers(self) -> list[int]:
+        """Close every worker's connection, so it exits at EOF; reap it; return exit codes."""
+        for worker in self._workers:
+            worker.conn.close()
+        codes = [worker.process.wait() for worker in self._workers]
+        self._workers = []
+        return codes
+
+    def _unit_died(self) -> RuntimeError:
+        codes = self._stop_workers()
+        self._died = (f"a processing unit died; this {self.units}-unit executor "
+                      f"cannot run again (worker exit codes {codes})")
+        return RuntimeError(self._died)
 
     def _worker_units(self, unit_count: int) -> int:
         """How many leading units of a run go to workers; the caller runs the rest."""
         if self._closed:
             raise RuntimeError(f"this {self.units}-unit executor is closed")
-        return 0 if self._pool is None else unit_count - 1
+        if self._died is not None:
+            raise RuntimeError(self._died)
+        return unit_count - 1 if self._workers else 0
 
     def depth_slices(self, image: RangeImage, spec: SliceSpec,
                      views: list[RangeImage], allocation: PuAllocation) -> list:
@@ -239,48 +341,60 @@ class SliceExecutor:
             return views
         cols = spec.intervals[remote - 1][1]  # the worker-bound columns lead
         size = image.xyz[:, :cols].nbytes + image.point_index[:, :cols].nbytes
-        if self._frame_buffer is None or self._frame_buffer.size < size:
+        if self._frame_buffer is None or len(self._frame_buffer[1]) < size:
             self._release_frame_buffer()
-            self._frame_buffer = shared_memory.SharedMemory(create=True, size=size)
-        xyz, point_index = _frame_arrays(self._frame_buffer.buf, image.rows, cols)
+            self._frame_buffer = _new_frame_buffer(size)
+            self._generation += 1
+        xyz, point_index = _frame_arrays(self._frame_buffer[1], image.rows, cols)
         xyz[...] = image.xyz[:, :cols]
         point_index[...] = image.point_index[:, :cols]
-        return [FrameBand(self._frame_buffer.name, image.rows, cols, lo, hi, view.azimuth_span,
+        return [FrameBand(self._generation, image.rows, cols, lo, hi, view.azimuth_span,
                           view.vertical_span, view.n_points)
                 for (lo, hi), view in zip(spec.intervals[:remote], views)] + views[remote:]
+
+    def _send(self, worker: _Worker, tasks: list) -> None:
+        if self._frame_buffer is not None and worker.buffer != self._generation:
+            # this worker's first task since the buffer was made: its fd follows the task
+            worker.conn.send((_run_unit_on_new_buffer, (self._generation, tasks)))
+            send_handle(worker.conn, self._frame_buffer[0], worker.process.pid)
+            worker.buffer = self._generation
+        else:
+            worker.conn.send((_run_unit, tasks))
 
     def run_units(self, unit_tasks: list[list]) -> list[list[tuple[int, np.ndarray]]]:
         """Per-unit results; raises the first failure in unit order."""
         workers = self._worker_units(len(unit_tasks))
         assert not any(isinstance(task[2], FrameBand) for tasks in unit_tasks[workers:]
                        for task in tasks), "the caller would map its own frame buffer"
-        futures = []
+        sent = []
         try:
             try:
-                for tasks in unit_tasks[:workers]:
-                    futures.append(self._pool.submit(_run_unit, tasks))
+                for worker, tasks in zip(self._workers, unit_tasks[:workers]):
+                    self._send(worker, tasks)
+                    sent.append(worker)
                 inline = [_run_unit(tasks) for tasks in unit_tasks[workers:]]
             finally:
                 # every unit is done before a failure is raised, so none is
                 # still reading the frame buffer when the next frame fills it
-                wait(futures)
-                done = [f.result() for f in futures]
-            return done + inline
-        except BrokenProcessPool as exc:
-            raise self._unit_died(exc) from exc
+                replies = [worker.conn.recv() for worker in sent]
+                for ok, value in replies:
+                    if not ok:
+                        raise value
+        except (EOFError, OSError) as exc:
+            raise self._unit_died() from exc
+        return [value for _, value in replies] + inline
 
     def _release_frame_buffer(self) -> None:
         if self._frame_buffer is not None:
-            self._frame_buffer.close()
-            self._frame_buffer.unlink()
+            fd, mapping = self._frame_buffer
             self._frame_buffer = None
+            mapping.close()
+            os.close(fd)
 
     def close(self) -> None:
         self._closed = True
         try:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
+            self._stop_workers()
         finally:
             self._release_frame_buffer()
 

@@ -1,12 +1,10 @@
 import copy
-import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -117,7 +115,7 @@ def test_all_unit_counts_bit_identical(method, fast_cfg, process_pool):
 def test_all_unit_counts_bit_identical_on_serial_units(method, fast_cfg):
     with SliceExecutor(5, "serial") as executor:
         assert_unit_counts_bit_identical(method, fast_cfg, executor)
-        assert executor.frame_buffer_name is None  # depth views are passed as they are
+        assert executor.frame_buffer_generation is None  # depth views are passed as they are
 
 
 def test_ssl_frame_native_grid(fast_cfg, process_pool):
@@ -263,65 +261,119 @@ def test_unit_sweep_monotone_wall_time(fast_cfg):
         assert cur <= prev * 1.10
 
 
-def _segment_exists(name: str) -> bool:
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    shm.close()
-    return True
+FRAME_BUFFER = "/memfd:groundslice-frame"
 
 
-def run_buffer_sequence(executor) -> list[str]:
+def frame_buffers(pid: int) -> set[int]:
+    """Inodes of the frame buffers a process holds open or maps, from /proc."""
+    held = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            if os.readlink(f"/proc/{pid}/fd/{fd}").startswith(FRAME_BUFFER):
+                held.add(os.stat(f"/proc/{pid}/fd/{fd}").st_ino)
+        except FileNotFoundError:  # the listing's own fd, closed meanwhile
+            pass
+    with open(f"/proc/{pid}/maps") as fh:
+        for line in fh:
+            fields = line.split(maxsplit=5)
+            if len(fields) == 6 and fields[5].startswith(FRAME_BUFFER):
+                held.add(int(fields[4]))
+    return held
+
+
+def children() -> set[int]:
+    """This process's child processes, from /proc/self/task/*/children."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as fh:
+            pids.update(int(p) for p in fh.read().split())
+    return pids
+
+
+def open_fds() -> dict[int, str]:
+    """This process's open fds and what each links to."""
+    links = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:  # the listing's own fd
+            pass
+    return links
+
+
+def run_buffer_sequence(executor, probe=None) -> list:
     """Depth at K=5 on 2 units over 64x1024, 126x625, 128x1024 and 64x1024 frames.
 
-    Each mask must equal its P=1 mask. Returns the executor's frame buffer
-    name after each frame.
+    Each mask must equal its P=1 mask. Returns `probe()` after each frame,
+    by default the executor's frame buffer generation.
     """
+    probe = probe or (lambda: executor.frame_buffer_generation)
     cfg = default_config()
     ssl_cfg, tall_cfg = copy.deepcopy(cfg), copy.deepcopy(cfg)
     ssl_cfg.depth.sensor_height = 1.0
     tall_cfg.projection.rows = 128
     street = frame_from_cloud(make_random_cloud(11, 2200), "street")
     ssl = frame_from_ssl(decode_ssl_frame(make_ssl_capture(seed=21), "even"), "ssl")
-    names = []
+    seen = []
     for frame, c in ((street, cfg), (ssl, ssl_cfg), (street, tall_cfg), (street, cfg)):
         ref, _ = run_sliced(frame, "depth", 5, 1, c)
         got, _ = run_sliced(frame, "depth", 5, 2, c, executor=executor)
         assert ref.any()
         np.testing.assert_array_equal(got, ref)
-        names.append(executor.frame_buffer_name)
-    return names
+        seen.append(probe())
+    return seen
 
 
-def test_frame_buffer_replaced_only_when_a_frame_does_not_fit(process_pool):
-    names = run_buffer_sequence(process_pool)
-    # the 128x1024 frame outgrows any earlier buffer; the 64x1024 one after it fits
-    assert names[3] == names[2] != names[1]
-    assert not _segment_exists(names[1])  # the outgrown buffer was unlinked
-    assert _segment_exists(names[3])
+def test_frame_buffer_replaced_only_when_a_frame_does_not_fit():
+    baseline = frame_buffers(os.getpid())  # the session executor's, if any
+    before = children()
+    with SliceExecutor(2, "process") as executor:
+        (worker,) = children() - before
+
+        def probe():
+            return (executor.frame_buffer_generation,
+                    frame_buffers(os.getpid()) - baseline, frame_buffers(worker))
+
+        seen = run_buffer_sequence(executor, probe)
+    gens = [gen for gen, _, _ in seen]
+    # each frame outgrows the buffer before it but the last, which fits the third's
+    assert gens[3] == gens[2] != gens[1] != gens[0]
+    for gen, caller, worker_held in seen:
+        # one buffer at a time: the outgrown one is gone from the caller and the worker
+        assert len(caller) == 1 and worker_held == caller
+    assert len({min(caller) for _, caller, _ in seen}) == 3
 
 
-def test_frame_buffer_unlinked_on_close_without_tracker_warning():
+def test_frame_buffer_released_on_close_without_a_tracker():
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.join(os.path.dirname(tests_dir), "src")
     script = textwrap.dedent(f"""
-        import sys
+        import os, sys
         sys.path[:0] = [{src_dir!r}, {tests_dir!r}]
         from groundslice.parallel_exec import SliceExecutor
-        from test_parallel_exec import run_buffer_sequence
+        helpers = ("concurrent.futures", "multiprocessing.shared_memory",
+                   "multiprocessing.resource_tracker")
+        assert not any(name in sys.modules for name in helpers)
+        from test_parallel_exec import children, frame_buffers, open_fds, run_buffer_sequence
+        fds = open_fds()
         with SliceExecutor(2, "process") as ex:
-            names = run_buffer_sequence(ex)
-        assert ex.frame_buffer_name is None
-        print(" ".join(names))
+            (worker,) = children()
+            with open(f"/proc/{{worker}}/cmdline") as fh:
+                assert fh.read().split("\\0")[:2] == [sys.executable, "-c"]
+            gens = run_buffer_sequence(ex)
+            assert children() == {{worker}}  # no resource tracker, no other helper
+        assert ex.frame_buffer_generation is None
+        assert not children() and not frame_buffers(os.getpid())
+        assert open_fds().items() <= fds.items()
+        assert "multiprocessing.resource_tracker" not in sys.modules
+        print(*gens)
     """)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert "resource_tracker" not in out.stderr and "leaked" not in out.stderr
-    names = out.stdout.split()
-    assert len(names) == 4 and len(set(names)) == 3  # created, then outgrown twice
-    assert not any(_segment_exists(n) for n in names)
+    assert out.stderr == ""
+    gens = out.stdout.split()
+    assert len(gens) == 4 and len(set(gens)) == 3  # created, then outgrown twice
 
 
 def _after_sleep(seconds, task):
@@ -368,9 +420,9 @@ def test_run_units_raises_the_first_failure_in_unit_order(fast_cfg, process_pool
 
 @pytest.mark.parametrize("units", [1, 2])
 def test_process_executor_spawns_one_worker_fewer_than_units(units):
-    before = set(multiprocessing.active_children())
+    before = children()
     with SliceExecutor(units, "process"):
-        assert len(set(multiprocessing.active_children()) - before) == units - 1
+        assert len(children() - before) == units - 1
 
 
 def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, monkeypatch):
@@ -400,7 +452,7 @@ def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, mon
 def test_caller_refuses_a_frame_band(backend, fast_cfg):
     from groundslice import parallel_exec
 
-    band = FrameBand("no-such-segment", 4, 8, 0, 8, (0.0, 1.0), (0.0, 1.0), 0)
+    band = FrameBand(1, 4, 8, 0, 8, (0.0, 1.0), (0.0, 1.0), 0)
     with SliceExecutor(2, backend) as executor:
         with pytest.raises(AssertionError, match="map its own frame buffer"):
             executor.run_units([[], [("depth", 1, band, fast_cfg.depth, 1)]])
@@ -416,25 +468,48 @@ def test_runs_without_workers_create_no_frame_buffer(units, backend, unit_counts
         for p in unit_counts:
             got, _ = run_sliced(frame, "depth", 5, p, fast_cfg, executor=executor)
             np.testing.assert_array_equal(got, ref)
-            assert executor.frame_buffer_name is None
+            assert executor.frame_buffer_generation is None
 
 
-def test_dead_unit_raises_and_close_still_unlinks(fast_cfg, dying_task):
+def test_dead_unit_raises_and_close_still_releases(fast_cfg, dying_task):
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
     ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
+    baseline = frame_buffers(os.getpid())  # the session executor's, if any
     executor = SliceExecutor(2, "process")
     try:
         got, _ = run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
         np.testing.assert_array_equal(got, ref)
-        name = executor.frame_buffer_name
-        with pytest.raises(RuntimeError, match="processing unit died"):
+        assert len(frame_buffers(os.getpid()) - baseline) == 1
+        with pytest.raises(RuntimeError, match=r"processing unit died.*exit codes \[1\]"):
             executor.run_units([[dying_task], []])
         with pytest.raises(RuntimeError, match="processing unit died"):
             run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
     finally:
         executor.close()
-    assert executor.frame_buffer_name is None
-    assert not _segment_exists(name)
+    assert executor.frame_buffer_generation is None
+    assert frame_buffers(os.getpid()) <= baseline
+
+
+@pytest.mark.parametrize("dies", [False, True], ids=["closed", "died"])
+def test_close_leaves_no_worker_and_no_frame_buffer_fd(dies, fast_cfg, dying_task):
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    before, fds = children(), open_fds()
+    executor = SliceExecutor(3, "process")
+    try:
+        run_sliced(frame, "depth", 5, 3, fast_cfg, executor=executor)
+        workers = children() - before
+        assert len(workers) == 2
+        for pid in workers:
+            with open(f"/proc/{pid}/cmdline") as fh:
+                assert "resource_tracker" not in fh.read()
+        if dies:
+            with pytest.raises(RuntimeError, match="processing unit died"):
+                executor.run_units([[dying_task], [], []])
+            assert not children() & workers  # reaped at once, not at close
+    finally:
+        executor.close()
+    assert not children() & workers
+    assert open_fds().items() <= fds.items()
 
 
 @pytest.mark.parametrize("backend", ["process", "serial"])
@@ -448,23 +523,103 @@ def test_closed_executor_raises(backend, fast_cfg):
             run_sliced(frame, method, 4, 2, fast_cfg, executor=executor)
 
 
-def test_warm_up_death_raises_unit_died_and_exits(tmp_path):
-    # without a __main__ guard each spawned unit runs the script again and
-    # dies while bootstrapping, inside the executor's warm-up
+def _run_script(tmp_path, body: str) -> subprocess.CompletedProcess:
+    """Run `body` as a script file, with the package's sources on its path."""
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.join(os.path.dirname(tests_dir), "src")
-    script = tmp_path / "unguarded.py"
-    script.write_text(textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {src_dir!r})
-        from groundslice.parallel_exec import SliceExecutor
-        SliceExecutor(2, "process").close()
-    """))
-    out = subprocess.run([sys.executable, str(script)], capture_output=True,
-                         text=True, timeout=120)
+    script = tmp_path / "script.py"
+    script.write_text(f"import sys\nsys.path.insert(0, {src_dir!r})\n" + textwrap.dedent(body))
+    return subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_warm_up_death_raises_unit_died_and_exits(tmp_path):
+    # a worker that exits before replying dies inside the executor's warm-up
+    out = _run_script(tmp_path, """
+        from groundslice import parallel_exec
+        parallel_exec._BOOT = "import os; os._exit(3)"
+        parallel_exec.SliceExecutor(2, "process").close()
+    """)
     assert out.returncode != 0
     last = out.stderr.strip().splitlines()[-1]
     assert last.startswith("RuntimeError: a processing unit died"), out.stderr[-2000:]
+    assert last.endswith("(worker exit codes [3])")
+
+
+def test_unguarded_script_runs_process_units(tmp_path):
+    # workers never re-run the caller's main module, so it needs no __main__ guard
+    out = _run_script(tmp_path, """
+        import numpy as np
+        from groundslice import default_config
+        from groundslice.parallel_exec import SliceExecutor, frame_from_cloud, run_sliced
+        from groundslice.synthetic import make_random_cloud
+        cfg = default_config()
+        frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+        with SliceExecutor(2, "process") as executor:
+            got, _ = run_sliced(frame, "depth", 5, 2, cfg, executor=executor)
+        print(np.array_equal(got, run_sliced(frame, "depth", 5, 1, cfg)[0]))
+    """)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "True\n"
+
+
+def test_worker_start_up_loads_no_package():
+    # a package import maps numpy's extension modules; the boot script imports none
+    before = children()
+    with SliceExecutor(2, "process") as executor:
+        (worker,) = children() - before
+
+        def numpy_mapped():
+            with open(f"/proc/{worker}/maps") as fh:
+                return "numpy" in fh.read()
+
+        assert not numpy_mapped()
+        executor.run_units([[("ransac", 0, np.zeros((0, 3)), None, 0)], []])
+        assert numpy_mapped()  # the first real task imports the package
+
+
+class _Unpicklable(ValueError):
+    def __init__(self):
+        super().__init__("bad")
+        self.hook = lambda: None  # a local object: the exception does not pickle
+
+
+class _RaisingRansacConfig:
+    """Stands in for `cfg.ransac`: reading `iterations` raises an unpicklable error."""
+
+    @property
+    def iterations(self):
+        raise _Unpicklable()
+
+
+@pytest.mark.parametrize("backend", ["process", "serial"])
+def test_unpicklable_slice_failure_names_its_slice(backend, fast_cfg, process_pool):
+    frame = frame_from_cloud(make_random_cloud(3, 600), "f")
+    ref, _ = run_sliced(frame, "ransac", 2, 1, fast_cfg)
+    bad_cfg = copy.deepcopy(fast_cfg)
+    bad_cfg.ransac = _RaisingRansacConfig()
+    executor = process_pool if backend == "process" else SliceExecutor(2, "serial")
+    with pytest.raises(SliceError, match=r"^slice 0: bad$") as info:
+        run_sliced(frame, "ransac", 2, 2, bad_cfg, executor=executor)
+    assert info.value.slice_index == 0
+    # the executor still runs
+    got, _ = run_sliced(frame, "ransac", 2, 2, fast_cfg, executor=executor)
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_frame_buffer_falls_back_to_a_temporary_file(monkeypatch, fast_cfg):
+    monkeypatch.delattr(os, "memfd_create")
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
+    fds = open_fds()
+    with SliceExecutor(2, "process") as executor:
+        got, _ = run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
+        assert executor.frame_buffer_generation == 1
+        held = [link for fd, link in open_fds().items() if fd not in fds]
+        assert any(link.endswith("(deleted)") and not link.startswith(FRAME_BUFFER)
+                   for link in held), held
+    np.testing.assert_array_equal(got, ref)
+    assert open_fds().items() <= fds.items()
 
 
 def test_unit_maps_a_new_buffer_after_a_failed_slice():
@@ -478,7 +633,7 @@ def test_unit_maps_a_new_buffer_after_a_failed_slice():
     with SliceExecutor(2, "process") as executor:
         with pytest.raises(SliceError, match="at least 2 rows"):
             run_sliced(frame, "depth", 5, 2, flat_cfg, executor=executor)
-        small = executor.frame_buffer_name
+        small = executor.frame_buffer_generation
         got, _ = run_sliced(frame, "depth", 5, 2, cfg, executor=executor)
-        assert executor.frame_buffer_name != small
+        assert executor.frame_buffer_generation != small
     np.testing.assert_array_equal(got, ref)
