@@ -366,6 +366,11 @@ class SliceExecutor:
         workers = self._worker_units(len(unit_tasks))
         assert not any(isinstance(task[2], FrameBand) for tasks in unit_tasks[workers:]
                        for task in tasks), "the caller would map its own frame buffer"
+        if workers:
+            # cleared once every reply is in: a run interrupted before that
+            # leaves a reply unread, which the next run would take for its own
+            self._died = (f"a run of this {self.units}-unit executor was interrupted; "
+                          "it cannot run again")
         sent = []
         try:
             try:
@@ -377,6 +382,7 @@ class SliceExecutor:
                 # every unit is done before a failure is raised, so none is
                 # still reading the frame buffer when the next frame fills it
                 replies = [worker.conn.recv() for worker in sent]
+                self._died = None
                 for ok, value in replies:
                     if not ok:
                         raise value

@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
@@ -416,6 +417,49 @@ def test_run_units_raises_the_first_failure_in_unit_order(fast_cfg, process_pool
     failing = [("ransac", s, np.zeros((1, 3)), fast_cfg.ransac, s) for s in range(2)]
     with pytest.raises(SliceError, match="slice 0"):
         process_pool.run_units([failing[:1], failing[1:]])
+
+
+def test_run_interrupted_while_waiting_for_a_worker_cannot_run_again(fast_cfg):
+    # the worker's reply is still unread; a later run must not take it for its own
+    slow = _SlowToUnpickle(("ransac", 0, np.zeros((0, 3)), fast_cfg.ransac, 0))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    before = children()
+    executor = SliceExecutor(2, "process")
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run_units([[slow], []])
+        with pytest.raises(RuntimeError, match="executor was interrupted"):
+            executor.run_units([[], []])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        executor.close()
+    assert children() == before
+
+
+def test_caller_interrupt_after_every_reply_leaves_the_executor_usable(fast_cfg,
+                                                                        monkeypatch):
+    from groundslice import parallel_exec
+
+    frame = frame_from_cloud(make_random_cloud(3, 600), "f")
+    ref, _ = run_sliced(frame, "ransac", 2, 1, fast_cfg)
+    with SliceExecutor(2, "process") as executor:
+        ransac = parallel_exec.ransac_ground
+
+        def interrupted(*args):  # in the caller only: the worker has its own module
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel_exec, "ransac_ground", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_sliced(frame, "ransac", 2, 2, fast_cfg, executor=executor)
+        monkeypatch.setattr(parallel_exec, "ransac_ground", ransac)
+        got, _ = run_sliced(frame, "ransac", 2, 2, fast_cfg, executor=executor)
+    np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("units", [1, 2])
