@@ -339,7 +339,7 @@ def test_frame_buffer_replaced_only_when_a_frame_does_not_fit():
     gens = [gen for gen, _, _ in seen]
     # each frame outgrows the buffer before it but the last, which fits the third's
     assert gens[3] == gens[2] != gens[1] != gens[0]
-    for gen, caller, worker_held in seen:
+    for _, caller, worker_held in seen:
         # one buffer at a time: the outgrown one is gone from the caller and the worker
         assert len(caller) == 1 and worker_held == caller
     assert len({min(caller) for _, caller, _ in seen}) == 3
@@ -440,26 +440,6 @@ def test_run_interrupted_while_waiting_for_a_worker_cannot_run_again(fast_cfg):
         signal.signal(signal.SIGALRM, previous)
         executor.close()
     assert children() == before
-
-
-def test_caller_interrupt_after_every_reply_leaves_the_executor_usable(fast_cfg,
-                                                                        monkeypatch):
-    from groundslice import parallel_exec
-
-    frame = frame_from_cloud(make_random_cloud(3, 600), "f")
-    ref, _ = run_sliced(frame, "ransac", 2, 1, fast_cfg)
-    with SliceExecutor(2, "process") as executor:
-        ransac = parallel_exec.ransac_ground
-
-        def interrupted(*args):  # in the caller only: the worker has its own module
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(parallel_exec, "ransac_ground", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            run_sliced(frame, "ransac", 2, 2, fast_cfg, executor=executor)
-        monkeypatch.setattr(parallel_exec, "ransac_ground", ransac)
-        got, _ = run_sliced(frame, "ransac", 2, 2, fast_cfg, executor=executor)
-    np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("units", [1, 2])
