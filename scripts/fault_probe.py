@@ -8,10 +8,12 @@ Runs framebench's frame path (read the file, project or decode, `run_sliced`
 with the depth method) in a closed loop over the seed's framebench inputs,
 generated in a process of their own when missing. After two warm-up frames
 it reads `minflt` from /proc/<pid>/stat of this process and of every
-executor worker (its children, from /proc/self/task/*/children), runs whole rounds over the inputs for `--seconds`, reads them again
-and prints one JSON line with the faults per frame. `--pin` restricts the
-process to one vCPU before the executor starts its workers, as the `ssl_units` workload
-does. The probe sets no allocator policy and no environment variable.
+executor worker (its children, from /proc/self/task/*/children), runs
+whole rounds over the inputs for `--seconds`, reads them again and prints
+one JSON line with the faults per frame. `--pin` restricts the process to
+one vCPU before the executor starts its workers, as the `ssl_units`
+workload does. The probe sets no allocator policy and no environment
+variable.
 """
 
 from __future__ import annotations
