@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minor page faults per depth frame, for the caller and each worker.
+"""Minor page faults per depth frame and peak resident set, per process.
 
     python3 scripts/fault_probe.py --kind street --slices 1 --units 1 --seed 1371
     python3 scripts/fault_probe.py --kind ssl --slices 5 --units 2 --pin --seed 1371
@@ -10,8 +10,10 @@ generated in a process of their own when missing. After two warm-up frames
 it reads `minflt` from /proc/<pid>/stat of this process and of every
 executor worker (its children, from /proc/self/task/*/children), runs
 whole rounds over the inputs for `--seconds`, reads them again and prints
-one JSON line with the faults per frame. `--pin` restricts the process to
-one vCPU before the executor starts its workers, as the `ssl_units`
+one JSON line with the faults per frame and each process's `VmHWM` (peak
+resident set, from /proc/<pid>/status) in MB; the caller's includes the
+probe's own imports. `--pin` restricts the process to one vCPU before the
+executor starts its workers, as the `ssl_units`
 workload does. The probe sets no allocator policy and no environment
 variable.
 """
@@ -38,6 +40,15 @@ def minor_faults(pid: int) -> int:
     """Field 10 (minflt) of /proc/<pid>/stat."""
     with open(f"/proc/{pid}/stat") as fh:
         return int(fh.read().rsplit(")", 1)[1].split()[7])
+
+
+def peak_rss_mb(pid: int) -> float:
+    """VmHWM of /proc/<pid>/status, in MB."""
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"no VmHWM for process {pid}")
 
 
 def children() -> list[int]:
@@ -90,13 +101,15 @@ def main() -> int:
                 run_frame(wl, path, cfg, args.units, executor)
                 frames += 1
         per_frame = [round((minor_faults(p) - b) / frames, 1) for p, b in zip(pids, before)]
+        peaks = [round(peak_rss_mb(p), 2) for p in pids]
     finally:
         if executor is not None:
             executor.close()
     print(json.dumps({"kind": args.kind, "slices": args.slices, "units": args.units,
                       "pinned": args.pin, "seed": args.seed, "frames": frames,
                       "caller_faults_per_frame": per_frame[0],
-                      "worker_faults_per_frame": per_frame[1:]}))
+                      "worker_faults_per_frame": per_frame[1:],
+                      "caller_vm_hwm_mb": peaks[0], "worker_vm_hwm_mb": peaks[1:]}))
     return 0
 
 

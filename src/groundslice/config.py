@@ -98,7 +98,7 @@ class SslConfig:
 class ParallelConfig:
     """Slice execution options, and the warm-up and repeat counts of `bench`."""
 
-    backend: str = "process"  # "process" (spawned workers) or "serial" (inline)
+    backend: str = "process"  # "process" (P-1 worker subprocesses) or "serial" (inline)
     bench_repeats: int = 11
     bench_warmup: int = 3
 
@@ -177,6 +177,8 @@ def load_config(path) -> RunConfig:
     for key, value, low, closed in (
             ("projection.rows", cfg.projection.rows, 1, True),
             ("projection.cols", cfg.projection.cols, 1, True),
+            ("depth.seed_threshold_deg", cfg.depth.seed_threshold_deg, 0, False),
+            ("depth.propagation_threshold_deg", cfg.depth.propagation_threshold_deg, 0, False),
             ("smrf.cell_size", cfg.smrf.cell_size, 0, False),
             ("smrf.max_window_radius", cfg.smrf.max_window_radius, 1, True),
             ("smrf.slope", cfg.smrf.slope, 0, True),
@@ -188,6 +190,13 @@ def load_config(path) -> RunConfig:
             ("parallel.bench_warmup", cfg.parallel.bench_warmup, 0, True)):
         if not (value >= low if closed else value > low):  # NaN fails too
             raise ValueError(f"{key} must be {'>=' if closed else '>'} {low}, got {value}")
+    top, bottom = cfg.projection.vertical_top_deg, cfg.projection.vertical_bottom_deg
+    if not top > bottom:
+        raise ValueError("projection.vertical_top_deg must be above vertical_bottom_deg, "
+                         f"got {top} and {bottom}")
+    tilt = cfg.ransac.max_normal_tilt_deg
+    if not 0 <= tilt <= 90:
+        raise ValueError(f"ransac.max_normal_tilt_deg must be in 0..90, got {tilt}")
     window, order = cfg.depth.smoothing_window, cfg.depth.smoothing_order
     if window < 3 or window % 2 == 0 or window > MAX_SMOOTHING_WINDOW:
         raise ValueError("depth.smoothing_window must be an odd integer in 3.."

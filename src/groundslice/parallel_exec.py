@@ -9,30 +9,20 @@ merged mask never depends on scheduling: any (K, P) run is bit-identical to
 the (K, 1) run.
 
 The caller runs the last unit's block itself: a P-unit `process` executor
-starts P-1 workers, and `serial` none. A worker is a `python -c` subprocess
-running `_BOOT` on one end of a socket pair; it imports the package when
-its first task arrives. A worker's depth slices read a copy of their
-columns in the executor's frame buffer, a memfd handed to the worker over
-its socket, so such a task pickles to a small `FrameBand`; point slices are
-pickled whole. Nothing is named, so nothing outlives the processes and no
-resource tracker runs. The `process` backend needs POSIX; `serial` runs
-anywhere.
+starts P-1 workers, and `serial` none. The workers, their socket transport
+and the frame buffer live in `process_units`, which is imported only when
+an executor starts workers. A worker's depth slices read a copy of their
+columns in the executor's frame buffer, so such a task pickles to a small
+`FrameBand`; point slices are pickled whole. The `process` backend needs
+POSIX; `serial` runs anywhere.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
 import pickle
-import socket
-import statistics
-import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
-from multiprocessing.reduction import recv_handle, send_handle
 from typing import NamedTuple
 
 import numpy as np
@@ -148,43 +138,6 @@ class FrameBand(NamedTuple):
     n_points: int
 
 
-def _frame_arrays(buf, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xyz, point_index) of a rows x cols frame laid out in `buf`, xyz first."""
-    xyz = np.ndarray((rows, cols, 3), dtype=np.float64, buffer=buf)
-    point_index = np.ndarray((rows, cols), dtype=np.int64, buffer=buf, offset=xyz.nbytes)
-    return xyz, point_index
-
-
-def _new_frame_buffer(size: int) -> tuple[int, mmap.mmap]:
-    """(fd, mapping) of a nameless file of `size` bytes: a memfd, else an unlinked temp file."""
-    if hasattr(os, "memfd_create"):
-        fd = os.memfd_create("groundslice-frame")
-    else:
-        with tempfile.TemporaryFile() as fh:
-            fd = os.dup(fh.fileno())
-    try:
-        os.ftruncate(fd, size)
-        return fd, mmap.mmap(fd, size)
-    except BaseException:
-        os.close(fd)
-        raise
-
-
-# (buffer generation, read-only mapping) of the one frame buffer this worker maps
-_mapped_frame = None
-
-
-def _band_view(band: FrameBand) -> RangeImage:
-    if _mapped_frame is None or _mapped_frame[0] != band.buffer:
-        raise RuntimeError(f"frame buffer {band.buffer} is not mapped in this process")
-    xyz, point_index = _frame_arrays(_mapped_frame[1], band.rows, band.cols)
-    return RangeImage(rows=band.rows, cols=band.hi - band.lo,
-                      xyz=xyz[:, band.lo:band.hi],
-                      point_index=point_index[:, band.lo:band.hi],
-                      azimuth_span=band.azimuth_span, vertical_span=band.vertical_span,
-                      n_points=band.n_points)
-
-
 def _segment_slice(task) -> np.ndarray:
     # a task names its method instead of holding a function: the segmenters
     # are looked up as module globals here, where a tracer may have swapped
@@ -192,7 +145,9 @@ def _segment_slice(task) -> np.ndarray:
     method, slice_index, data, method_cfg, seed = task
     try:
         if isinstance(data, FrameBand):
-            data = _band_view(data)
+            from .process_units import band_view  # only a worker is handed a band
+
+            data = band_view(data)
         if method == "depth":
             return depth_segment_image(data, method_cfg)
         if data.shape[0] == 0:
@@ -208,67 +163,6 @@ def _segment_slice(task) -> np.ndarray:
 def _run_unit(tasks) -> list[tuple[int, np.ndarray]]:
     """One processing unit: work through its slice tasks sequentially."""
     return [(task[1], _segment_slice(task)) for task in tasks]
-
-
-def _run_unit_on_new_buffer(arg) -> list[tuple[int, np.ndarray]]:
-    """A worker's unit, after mapping the executor's new frame buffer.
-
-    `arg` is (buffer generation, tasks). The buffer's fd follows the task on
-    the worker's connection (`conn` of `_BOOT`). The old mapping goes with
-    its last view, which a failed slice's traceback may still hold.
-    """
-    global _mapped_frame
-    import __main__
-
-    generation, tasks = arg
-    fd = recv_handle(__main__.conn)
-    try:
-        _mapped_frame = (generation, mmap.mmap(fd, 0, access=mmap.ACCESS_READ))
-    finally:
-        os.close(fd)
-    return _run_unit(tasks)
-
-
-# A worker's whole program, standard library only: it takes sys.path from
-# the caller, then replies (ok, value) to each (fn, arg) until EOF. The
-# package is imported when the first real task is unpickled.
-_BOOT = """
-import pickle, signal, sys
-from multiprocessing.connection import Connection
-signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C and closes us
-conn = Connection(int(sys.argv[1]))
-sys.path[:] = conn.recv()
-while True:
-    try:
-        data = conn.recv_bytes()
-    except EOFError:
-        break
-    try:
-        fn, arg = pickle.loads(data)
-        reply = True, fn(arg)
-    except Exception as exc:
-        reply = False, exc
-    try:
-        conn.send(reply)
-    except OSError:
-        break
-    except Exception as exc:  # the reply did not pickle
-        conn.send((False, RuntimeError(f"unpicklable reply: {exc}")))
-"""
-
-
-class _Worker:
-    """A worker process on one end of a socket pair; the caller holds the other."""
-
-    def __init__(self):
-        ours, theirs = socket.socketpair()
-        with ours, theirs:
-            # stdin is not inherited: the caller may be reading its own
-            self.process = subprocess.Popen(
-                [sys.executable, "-c", _BOOT, str(theirs.fileno())],
-                pass_fds=[theirs.fileno()], stdin=subprocess.DEVNULL)
-            self.conn = Connection(ours.detach())
-        self.buffer = None  # generation of the frame buffer whose fd it was handed
 
 
 class SliceExecutor:
@@ -289,31 +183,33 @@ class SliceExecutor:
         self.backend = backend
         self._closed = False
         self._died: str | None = None  # why the executor cannot run again
-        self._frame_buffer: tuple[int, mmap.mmap] | None = None  # (fd, mapping)
+        self._frame_buffer = None  # a process_units.FrameBuffer, once a worker needs one
         self._generation = 0  # of the frame buffer; bumped on each replacement
-        self._workers: list[_Worker] = []
+        self._workers = []  # of process_units.Worker
         if backend == "process" and units > 1:
+            from .process_units import Worker  # the transport loads only with workers
+
             try:
                 for _ in range(units - 1):
-                    self._workers.append(_Worker())
+                    self._workers.append(Worker())
                 # one round trip each, importing nothing, before any timing happens
                 for worker in self._workers:
-                    worker.conn.send(sys.path)
-                    worker.conn.send((int, 0))
+                    worker.send(sys.path)
+                    worker.send((int, 0))
                 for worker in self._workers:
-                    worker.conn.recv()
+                    worker.recv()
             except (EOFError, OSError) as exc:
                 raise self._unit_died() from exc
 
     @property
     def frame_buffer_generation(self) -> int | None:
         """Generation of the current frame buffer, or None while there is none."""
-        return None if self._frame_buffer is None else self._generation
+        return None if self._frame_buffer is None else self._frame_buffer.generation
 
     def _stop_workers(self) -> list[int]:
-        """Close every worker's connection, so it exits at EOF; reap it; return exit codes."""
+        """Close every worker's socket, so it exits at EOF; reap it; return exit codes."""
         for worker in self._workers:
-            worker.conn.close()
+            worker.sock.close()
         codes = [worker.process.wait() for worker in self._workers]
         self._workers = []
         return codes
@@ -341,25 +237,19 @@ class SliceExecutor:
             return views
         cols = spec.intervals[remote - 1][1]  # the worker-bound columns lead
         size = image.xyz[:, :cols].nbytes + image.point_index[:, :cols].nbytes
-        if self._frame_buffer is None or len(self._frame_buffer[1]) < size:
+        # workers exist, so `process_units` is loaded
+        from .process_units import FrameBuffer, frame_arrays
+
+        if self._frame_buffer is None or self._frame_buffer.size < size:
             self._release_frame_buffer()
-            self._frame_buffer = _new_frame_buffer(size)
             self._generation += 1
-        xyz, point_index = _frame_arrays(self._frame_buffer[1], image.rows, cols)
+            self._frame_buffer = FrameBuffer(size, self._generation)
+        xyz, point_index = frame_arrays(self._frame_buffer.mapping, image.rows, cols)
         xyz[...] = image.xyz[:, :cols]
         point_index[...] = image.point_index[:, :cols]
         return [FrameBand(self._generation, image.rows, cols, lo, hi, view.azimuth_span,
                           view.vertical_span, view.n_points)
                 for (lo, hi), view in zip(spec.intervals[:remote], views)] + views[remote:]
-
-    def _send(self, worker: _Worker, tasks: list) -> None:
-        if self._frame_buffer is not None and worker.buffer != self._generation:
-            # this worker's first task since the buffer was made: its fd follows the task
-            worker.conn.send((_run_unit_on_new_buffer, (self._generation, tasks)))
-            send_handle(worker.conn, self._frame_buffer[0], worker.process.pid)
-            worker.buffer = self._generation
-        else:
-            worker.conn.send((_run_unit, tasks))
 
     def run_units(self, unit_tasks: list[list]) -> list[list[tuple[int, np.ndarray]]]:
         """Per-unit results; raises the first failure in unit order."""
@@ -375,13 +265,13 @@ class SliceExecutor:
         try:
             try:
                 for worker, tasks in zip(self._workers, unit_tasks[:workers]):
-                    self._send(worker, tasks)
+                    worker.send_unit(tasks, self._frame_buffer)
                     sent.append(worker)
                 inline = [_run_unit(tasks) for tasks in unit_tasks[workers:]]
             finally:
                 # every unit is done before a failure is raised, so none is
                 # still reading the frame buffer when the next frame fills it
-                replies = [worker.conn.recv() for worker in sent]
+                replies = [worker.recv() for worker in sent]
                 self._died = None
                 for ok, value in replies:
                     if not ok:
@@ -392,10 +282,8 @@ class SliceExecutor:
 
     def _release_frame_buffer(self) -> None:
         if self._frame_buffer is not None:
-            fd, mapping = self._frame_buffer
-            self._frame_buffer = None
-            mapping.close()
-            os.close(fd)
+            buffer, self._frame_buffer = self._frame_buffer, None
+            buffer.close()
 
     def close(self) -> None:
         self._closed = True
@@ -489,7 +377,9 @@ def time_baseline(frame: Frame, method: str, cfg: RunConfig, seed: int = 0,
     for _ in range(repeats):
         _, record = run_sliced(frame, method, k, p, cfg, seed=seed, executor=executor)
         times.append(record.wall_ms)
-    return statistics.median(times)
+    times.sort()
+    mid = len(times) // 2
+    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
 
 
 def write_bench_csv(records: list[BenchmarkRecord], path) -> None:

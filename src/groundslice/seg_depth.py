@@ -50,13 +50,6 @@ def compute_angle_image(image: RangeImage, sensor_height: float = 1.73) -> Angle
         raise ValueError("angle image needs at least 2 rows")
     rows, cols = image.point_index.shape
     valid = image.point_index != -1
-    # row `rows` is the virtual ground point below every column
-    d = np.empty((rows + 1, cols))
-    np.hypot(image.xyz[:, :, 0], image.xyz[:, :, 1], out=d[:rows])
-    d[rows] = 0.0
-    z = np.empty((rows + 1, cols))
-    z[:rows] = image.xyz[:, :, 2]
-    z[rows] = -sensor_height
 
     # flat index of the nearest valid pixel at or below each row: valid
     # pixels hold their own, empty ones the ground row's, and a running
@@ -67,13 +60,24 @@ def compute_angle_image(image: RangeImage, sensor_height: float = 1.73) -> Angle
     np.minimum.accumulate(up, axis=0, out=up)
     prev = below[1:]  # strictly below
 
-    dz = z.take(prev)
-    np.subtract(z[:rows], dz, out=dz)
+    # one buffer holds z, then the planar distance d; row `rows` is the
+    # virtual ground point below every column. Each difference is taken in
+    # place as |below - here|, equal to |here - below| bit for bit, since
+    # rounding to nearest is symmetric under negation.
+    plane = np.empty((rows + 1, cols))
+    plane[:rows] = image.xyz[:, :, 2]
+    plane[rows] = -sensor_height
+    dz = plane.take(prev)
+    np.subtract(dz, plane[:rows], out=dz)
     np.abs(dz, out=dz)
-    dd = d.take(prev)
-    np.subtract(d[:rows], dd, out=dd)
+    np.hypot(image.xyz[:, :, 0], image.xyz[:, :, 1], out=plane[:rows])
+    plane[rows] = 0.0
+    dd = plane.take(prev)
+    del below, up, prev
+    np.subtract(dd, plane[:rows], out=dd)
     np.abs(dd, out=dd)
-    angle = np.zeros((rows, cols))
+    angle = plane[:rows]
+    angle.fill(0.0)
     np.arctan2(dz, dd, out=angle, where=valid)
     return AngleImage(angle=angle, valid=valid)
 
@@ -127,7 +131,7 @@ def savitzky_golay_smooth(angles: AngleImage, window: int, order: int) -> AngleI
         term *= pad_a[i:i + rows]
         out += term
     np.copyto(out, a, where=table.passthrough.take(pattern))
-    return AngleImage(angle=out, valid=v.copy())
+    return AngleImage(angle=out, valid=v)
 
 
 class _SgTable:
@@ -257,4 +261,5 @@ def depth_segment_image(image: RangeImage, cfg: DepthConfig) -> np.ndarray:
     """Full depth-ground pipeline on one range image (or slice view)."""
     angles = compute_angle_image(image, sensor_height=cfg.sensor_height)
     smoothed = savitzky_golay_smooth(angles, cfg.smoothing_window, cfg.smoothing_order)
+    del angles  # the raw angles are not needed while labelling
     return bfs_ground_label(smoothed, cfg.seed_threshold, cfg.propagation_threshold)

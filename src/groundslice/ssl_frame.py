@@ -27,13 +27,18 @@ _SSL_RECORD_BYTES = 12  # 3 x float32
 
 @dataclass(frozen=True)
 class SslRawFrame:
-    """One raw capture: xyz per record plus a validity flag."""
+    """One raw capture: xyz per record plus a validity flag.
 
-    xyz: np.ndarray  # (78750, 3) float64
+    xyz keeps float32 records as given (a `.sslraw` capture's, as read);
+    any other dtype is widened to float64.
+    """
+
+    xyz: np.ndarray  # (78750, 3) float32 or float64
     valid: np.ndarray  # (78750,) bool
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
+        xyz = np.asarray(self.xyz)
+        xyz = np.ascontiguousarray(xyz, np.float32 if xyz.dtype == np.float32 else np.float64)
         valid = np.ascontiguousarray(self.valid, dtype=bool)
         if xyz.shape != (RECORDS_PER_FRAME, 3):
             raise ValueError(
@@ -97,10 +102,13 @@ def _index_map(parity: str) -> np.ndarray:
 
 
 def decode_ssl_frame(raw: SslRawFrame, parity: str = "even") -> SslFrame:
-    """Decode a raw capture into the organized 126x625 frame."""
+    """Decode a raw capture into the organized 126x625 frame, xyz as float64.
+
+    float32 records are gathered first and widened once, which is exact.
+    """
     index_map = decode_index_map(parity)
     return SslFrame(
-        xyz=raw.xyz.take(index_map, axis=0),
+        xyz=raw.xyz.take(index_map, axis=0).astype(np.float64, copy=False),
         valid=raw.valid[index_map],
         index_map=index_map,
     )
@@ -151,7 +159,8 @@ def load_sslraw(path) -> SslRawFrame:
     """Read a .sslraw capture: 78,750 little-endian float32 (x, y, z) triples.
 
     An all-zero triple marks an invalid (dropped) return, and so does a
-    triple holding a NaN or an infinity; the coordinates are kept as read.
+    triple holding a NaN or an infinity; the coordinates are kept as read,
+    as float32.
     A file of any other byte size raises ValueError naming it.
     """
     path = Path(path)
@@ -166,7 +175,7 @@ def load_sslraw(path) -> SslRawFrame:
     # non-finite; np.maximum carries a NaN through
     mag = np.abs(records)
     peak = np.maximum(np.maximum(mag[:, 0], mag[:, 1]), mag[:, 2])
-    return SslRawFrame(xyz=records.astype(np.float64), valid=(peak > 0) & (peak < np.inf))
+    return SslRawFrame(xyz=records, valid=(peak > 0) & (peak < np.inf))
 
 
 def save_sslraw(raw: SslRawFrame, path) -> None:

@@ -299,6 +299,11 @@ BAD_NUMBERS = {
     "depth_window_large": "[depth]\nsmoothing_window = 15\n",
     "depth_order_zero": "[depth]\nsmoothing_order = 0\n",
     "depth_order_window": "[depth]\nsmoothing_window = 5\nsmoothing_order = 5\n",
+    "depth_seed_threshold": "[depth]\nseed_threshold_deg = 0\n",
+    "depth_propagation_threshold": "[depth]\npropagation_threshold_deg = -2\n",
+    "projection_vertical_span": "[projection]\nvertical_top_deg = -30\n",
+    "ransac_tilt_negative": "[ransac]\nmax_normal_tilt_deg = -5\n",
+    "ransac_tilt_over_90": "[ransac]\nmax_normal_tilt_deg = 120\n",
 }
 
 

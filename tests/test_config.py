@@ -97,3 +97,35 @@ def test_smoothing_window_capped(tmp_path):
                                          rf"3\.\.{MAX_SMOOTHING_WINDOW}, got "
                                          rf"{MAX_SMOOTHING_WINDOW + 2}"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[depth]\nseed_threshold_deg = 0\n", r"depth\.seed_threshold_deg must be > 0, got 0\.0"),
+    ("[depth]\npropagation_threshold_deg = -1\n",
+     r"depth\.propagation_threshold_deg must be > 0, got -1\.0"),
+    ("[depth]\nseed_threshold_deg = nan\n", r"depth\.seed_threshold_deg must be > 0, got nan"),
+    ("[projection]\nvertical_top_deg = -30\n",
+     r"projection\.vertical_top_deg must be above vertical_bottom_deg, got -30\.0 and -24\.8"),
+    ("[projection]\nvertical_top_deg = 5\nvertical_bottom_deg = 5\n",
+     r"projection\.vertical_top_deg must be above vertical_bottom_deg, got 5\.0 and 5\.0"),
+    ("[ransac]\nmax_normal_tilt_deg = -5\n",
+     r"ransac\.max_normal_tilt_deg must be in 0\.\.90, got -5\.0"),
+    ("[ransac]\nmax_normal_tilt_deg = 90.5\n",
+     r"ransac\.max_normal_tilt_deg must be in 0\.\.90, got 90\.5"),
+    ("[ransac]\nmax_normal_tilt_deg = nan\n",
+     r"ransac\.max_normal_tilt_deg must be in 0\.\.90, got nan"),
+], ids=["seed_zero", "propagation_negative", "seed_nan", "span_inverted", "span_empty",
+        "tilt_negative", "tilt_over_90", "tilt_nan"])
+def test_geometry_rejected_at_load(text, message, tmp_path):
+    # each of these failed mid-run, or (a negative tilt) acted as its magnitude
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+def test_tilt_bounds_are_inclusive(tmp_path):
+    path = tmp_path / "tilt.cfg"
+    for tilt in (0, 90):
+        path.write_text(f"[ransac]\nmax_normal_tilt_deg = {tilt}\n")
+        assert load_config(path).ransac.max_normal_tilt_deg == tilt

@@ -356,11 +356,13 @@ def test_frame_buffer_released_on_close_without_a_tracker():
                    "multiprocessing.resource_tracker")
         assert not any(name in sys.modules for name in helpers)
         from test_parallel_exec import children, frame_buffers, open_fds, run_buffer_sequence
+        import subprocess
+        flags = subprocess._args_from_interpreter_flags()  # the caller's, passed on
         fds = open_fds()
         with SliceExecutor(2, "process") as ex:
             (worker,) = children()
             with open(f"/proc/{{worker}}/cmdline") as fh:
-                assert fh.read().split("\\0")[:2] == [sys.executable, "-c"]
+                assert fh.read().split("\\0")[:len(flags) + 2] == [sys.executable, *flags, "-c"]
             gens = run_buffer_sequence(ex)
             assert children() == {{worker}}  # no resource tracker, no other helper
         assert ex.frame_buffer_generation is None
@@ -450,7 +452,7 @@ def test_process_executor_spawns_one_worker_fewer_than_units(units):
 
 
 def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, monkeypatch):
-    from groundslice import parallel_exec
+    from groundslice import process_units
 
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
     ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
@@ -469,18 +471,18 @@ def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, mon
     assert all(isinstance(t[2], FrameBand) for t in worker)
     assert all(isinstance(t[2], RangeImage) and np.shares_memory(t[2].xyz, image.xyz)
                for t in caller)
-    assert parallel_exec._mapped_frame is None  # the caller never maps the buffer
+    assert process_units._mapped_frame is None  # the caller never maps the buffer
 
 
 @pytest.mark.parametrize("backend", ["process", "serial"])
 def test_caller_refuses_a_frame_band(backend, fast_cfg):
-    from groundslice import parallel_exec
+    from groundslice import process_units
 
     band = FrameBand(1, 4, 8, 0, 8, (0.0, 1.0), (0.0, 1.0), 0)
     with SliceExecutor(2, backend) as executor:
         with pytest.raises(AssertionError, match="map its own frame buffer"):
             executor.run_units([[], [("depth", 1, band, fast_cfg.depth, 1)]])
-    assert parallel_exec._mapped_frame is None
+    assert process_units._mapped_frame is None
 
 
 @pytest.mark.parametrize("units, backend, unit_counts", [
@@ -547,21 +549,94 @@ def test_closed_executor_raises(backend, fast_cfg):
             run_sliced(frame, method, 4, 2, fast_cfg, executor=executor)
 
 
-def _run_script(tmp_path, body: str) -> subprocess.CompletedProcess:
-    """Run `body` as a script file, with the package's sources on its path."""
+def _run_script(tmp_path, body: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run `body` as a script file with interpreter `flags`, the package's sources on its path."""
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.join(os.path.dirname(tests_dir), "src")
     script = tmp_path / "script.py"
     script.write_text(f"import sys\nsys.path.insert(0, {src_dir!r})\n" + textwrap.dedent(body))
-    return subprocess.run([sys.executable, str(script)], capture_output=True,
+    return subprocess.run([sys.executable, *flags, str(script)], capture_output=True,
                           text=True, timeout=120)
+
+
+# A script's helper: a value computed in a worker, carried back as a slice
+# index. `Evaluated` pickles as `fn(*args)`, so a worker evaluates it while
+# unpickling its task, and imports nothing of the script to do so.
+IN_WORKER = """
+    import numpy as np
+
+    class Evaluated:
+        def __init__(self, fn, *args):
+            self.fn, self.args = fn, args
+
+        def __reduce__(self):
+            return self.fn, self.args
+
+    def in_worker(executor, value):
+        [[(index, _)], []] = executor.run_units([[("ransac", value, np.zeros((0, 3)), None, 0)],
+                                                 []])
+        return index
+
+    worker_sys = Evaluated(__import__, "sys")
+"""
+
+
+def test_single_unit_runs_load_no_transport(tmp_path):
+    out = _run_script(tmp_path, """
+        from groundslice import default_config
+        from groundslice.parallel_exec import frame_from_cloud, run_sliced
+        from groundslice.synthetic import make_random_cloud
+        cfg = default_config()
+        frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+        for method in ("depth", "ransac", "smrf"):
+            for k in (1, 3):
+                run_sliced(frame, method, k, 1, cfg)
+        transport = ("multiprocessing", "subprocess", "socket", "statistics")
+        print(sorted(name for name in sys.modules if name.split(".")[0] in transport))
+    """)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "[]\n"
+
+
+def test_process_units_load_no_multiprocessing(tmp_path):
+    out = _run_script(tmp_path, IN_WORKER + """
+    from groundslice import default_config
+    from groundslice.parallel_exec import SliceExecutor, frame_from_cloud, run_sliced
+    from groundslice.synthetic import make_random_cloud
+    cfg = default_config()
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    with SliceExecutor(2, "process") as executor:
+        for method in ("depth", "ransac", "smrf"):
+            got, _ = run_sliced(frame, method, 4, 2, cfg, executor=executor)
+            assert np.array_equal(got, run_sliced(frame, method, 4, 1, cfg)[0])
+        worker = in_worker(executor, Evaluated(list, Evaluated(getattr, worker_sys, "modules")))
+    assert "groundslice.process_units" in worker  # it ran a frame-buffer band
+    for modules in (sys.modules, worker):
+        print(sorted(name for name in modules if name.split(".")[0] == "multiprocessing"))
+    """)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "[]\n[]\n"
+
+
+def test_workers_get_the_callers_interpreter_flags(tmp_path):
+    out = _run_script(tmp_path, IN_WORKER + """
+    from groundslice.parallel_exec import SliceExecutor
+    flags = Evaluated(getattr, worker_sys, "flags")
+    with SliceExecutor(2, "process") as executor:
+        seen = in_worker(executor, Evaluated(list, [Evaluated(getattr, flags, "optimize"),
+                                                    Evaluated(getattr, worker_sys, "warnoptions"),
+                                                    Evaluated(getattr, worker_sys, "_xoptions")]))
+    print(seen)
+    """, "-O", "-W", "ignore::FutureWarning", "-X", "faulthandler")
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "[1, ['ignore::FutureWarning'], {'faulthandler': True}]\n"
 
 
 def test_warm_up_death_raises_unit_died_and_exits(tmp_path):
     # a worker that exits before replying dies inside the executor's warm-up
     out = _run_script(tmp_path, """
-        from groundslice import parallel_exec
-        parallel_exec._BOOT = "import os; os._exit(3)"
+        from groundslice import parallel_exec, process_units
+        process_units._BOOT = "import os; os._exit(3)"
         parallel_exec.SliceExecutor(2, "process").close()
     """)
     assert out.returncode != 0

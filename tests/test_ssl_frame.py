@@ -192,7 +192,23 @@ def test_sslraw_validity_matches_all_zero_rule(tmp_path):
     xyz = records.astype(np.float64)
     np.testing.assert_array_equal(loaded.valid, sslraw_valid_oracle(xyz))
     assert loaded.valid.any() and not loaded.valid.all()
-    assert loaded.xyz.tobytes() == xyz.tobytes()
+    assert loaded.xyz.dtype == np.float32 and loaded.xyz.tobytes() == records.tobytes()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_decode_widens_float32_records_after_the_gather(parity, tmp_path):
+    # a .sslraw capture keeps its float32 records; decoding gives the float64
+    # frame that the widened records give, bit for bit
+    path = tmp_path / "c.sslraw"
+    save_sslraw(make_ssl_capture(seed=8, dropout=0.05), path)
+    raw = load_sslraw(path)
+    wide = SslRawFrame(xyz=raw.xyz.astype(np.float64), valid=raw.valid)
+    assert raw.xyz.dtype == np.float32 and wide.xyz.dtype == np.float64
+    frame, want = decode_ssl_frame(raw, parity), decode_ssl_frame(wide, parity)
+    assert frame.xyz.dtype == np.float64
+    assert frame.xyz.tobytes() == want.xyz.tobytes()
+    np.testing.assert_array_equal(frame.valid, want.valid)
+    assert encode_ssl_frame(frame).xyz.dtype == np.float64
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -249,7 +265,7 @@ def test_fuzzed_sslraw_gives_a_frame_or_names_the_file(tmp_path_factory, edits,
         return
     assert resize == 0
     xyz = records.reshape(-1, 3).astype(np.float64)
-    assert raw.xyz.tobytes() == xyz.tobytes()
+    assert raw.xyz.dtype == np.float32 and raw.xyz.tobytes() == records.tobytes()
     np.testing.assert_array_equal(raw.valid, sslraw_valid_oracle(xyz))
     cloud, _ = ssl_to_point_cloud(decode_ssl_frame(raw))
     assert len(cloud) == int(raw.valid.sum())
