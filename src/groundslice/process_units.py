@@ -101,8 +101,8 @@ class Worker:
 
     def recv(self):
         """The next reply; EOFError when the worker has gone."""
-        return pickle.loads(_recv_exact(self.sock, int.from_bytes(_recv_exact(self.sock, 8),
-                                                                  "little")))
+        size = int.from_bytes(_recv_exact(self.sock, 8), "little")
+        return pickle.loads(_recv_exact(self.sock, size))
 
     def send_unit(self, tasks: list, frame_buffer: FrameBuffer | None) -> None:
         """Send one unit's tasks; the frame buffer's fd follows the first task after it is new."""

@@ -30,7 +30,7 @@ class SslRawFrame:
     """One raw capture: xyz per record plus a validity flag.
 
     xyz keeps float32 records as given (a `.sslraw` capture's, as read);
-    any other dtype is widened to float64.
+    any other dtype is converted to float64.
     """
 
     xyz: np.ndarray  # (78750, 3) float32 or float64

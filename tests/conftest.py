@@ -29,13 +29,13 @@ def small_dataset(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def process_pool():
-    """One spawned worker pool for every test that needs real processes."""
+    """One 5-unit process executor for every test that needs real worker processes."""
     with SliceExecutor(5, "process") as ex:
         yield ex
 
 
 class _ExitsWhenUnpickled:
-    """A task whose unpickling in a pool worker ends that worker's process."""
+    """A task whose unpickling in a worker ends that worker's process."""
 
     def __reduce__(self):
         return os._exit, (1,)

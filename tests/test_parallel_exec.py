@@ -218,6 +218,21 @@ def test_time_baseline_positive_and_stable(fast_cfg):
     assert min(gaps) < 0.2, gaps
 
 
+@pytest.mark.parametrize("repeats", [1, 4, 5])
+def test_time_baseline_is_the_median_of_the_timed_runs(repeats, fast_cfg, monkeypatch):
+    import statistics
+
+    from groundslice import parallel_exec
+
+    walls = [3.0, 0.5, 7.25, 1.0, 2.5, 9.0, 4.0][:repeats + 2]  # two warm-up runs first
+    runs = iter(walls)
+    monkeypatch.setattr(parallel_exec, "run_sliced", lambda *a, **kw: (
+        None, BenchmarkRecord("depth", 1, 1, "f", next(runs))))
+    frame = frame_from_cloud(make_random_cloud(1, 100), "f")
+    got = time_baseline(frame, "depth", fast_cfg, repeats=repeats, warmup=2)
+    assert got == statistics.median(walls[2:])
+
+
 def test_time_baseline_empty_frame(fast_cfg):
     cloud = PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0))
     frame = frame_from_cloud(cloud, "empty")
