@@ -641,10 +641,11 @@ def test_workers_get_the_callers_interpreter_flags(tmp_path):
         seen = in_worker(executor, Evaluated(list, [Evaluated(getattr, flags, "optimize"),
                                                     Evaluated(getattr, worker_sys, "warnoptions"),
                                                     Evaluated(getattr, worker_sys, "_xoptions")]))
-    print(seen)
+    print(seen == [sys.flags.optimize, sys.warnoptions, sys._xoptions])
+    print(seen[0], "ignore::FutureWarning" in seen[1], seen[2].get("faulthandler"))
     """, "-O", "-W", "ignore::FutureWarning", "-X", "faulthandler")
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout == "[1, ['ignore::FutureWarning'], {'faulthandler': True}]\n"
+    assert out.stdout == "True\n1 True True\n"
 
 
 def test_warm_up_death_raises_unit_died_and_exits(tmp_path):
