@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, units=True):
+    def add_shared(p):
         p.add_argument("--config", help="config file (flat sectioned key=value)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory/file")

@@ -112,10 +112,6 @@ def load_labels(path, ground_classes=GROUND_CLASSES_DEFAULT) -> np.ndarray:
     return np.isin(classes, np.fromiter(ground_classes, dtype=np.uint32))
 
 
-def save_labels(classes: np.ndarray, path) -> None:
-    np.asarray(classes, dtype="<u4").tofile(path)
-
-
 def load_frame(scan_path, label_path, ground_classes=GROUND_CLASSES_DEFAULT):
     """Load a paired scan + label file with consistent non-finite filtering.
 

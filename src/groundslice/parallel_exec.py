@@ -12,9 +12,9 @@ The caller runs the last unit's block itself: a P-unit `process` executor
 starts P-1 workers, and `serial` none. The workers, their socket transport
 and the frame buffer live in `process_units`, which is imported only when
 an executor starts workers. A worker's depth slices read a copy of their
-columns in the executor's frame buffer, so such a task pickles to a small
-`FrameBand`; point slices are pickled whole. The `process` backend needs
-POSIX; `serial` runs anywhere.
+columns in the executor's frame buffer, which every worker holds from its
+start, so such a task pickles to a small `FrameBand`; point slices are
+pickled whole. The `process` backend needs POSIX; `serial` runs anywhere.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class FrameBand(NamedTuple):
     the worker rebuilds the view that `slice_columns` gives.
     """
 
-    buffer: int  # generation of the executor's frame buffer
+    fd: int  # of the executor's frame buffer, the same number in every worker
     rows: int
     cols: int  # of the buffer: the frame's leading, worker-bound columns
     lo: int
@@ -171,9 +171,11 @@ class SliceExecutor:
     backend "process" starts units - 1 worker processes, warmed up at
     construction so start-up never lands inside a timed region, and runs
     the last unit in the caller; "serial" has none and runs every unit in
-    the caller. The executor owns the frame buffer its workers' depth tasks
-    read, released by `close()`. A closed executor raises `RuntimeError`,
-    and so does one whose worker died: callers close it and build a new one.
+    the caller. A process executor with workers owns the frame buffer their
+    depth tasks read, made before them and closed by `close()`. A run on
+    more units than the executor has raises `ValueError`. A closed executor
+    raises `RuntimeError`, and so does one whose worker died: callers close
+    it and build a new one.
     """
 
     def __init__(self, units: int, backend: str = "process"):
@@ -183,15 +185,15 @@ class SliceExecutor:
         self.backend = backend
         self._closed = False
         self._died: str | None = None  # why the executor cannot run again
-        self._frame_buffer = None  # a process_units.FrameBuffer, once a worker needs one
-        self._generation = 0  # of the frame buffer; bumped on each replacement
+        self._frame_buffer = None  # a process_units.FrameBuffer, with workers only
         self._workers = []  # of process_units.Worker
         if backend == "process" and units > 1:
-            from .process_units import Worker  # the transport loads only with workers
+            from .process_units import FrameBuffer, Worker  # loaded only with workers
 
+            self._frame_buffer = FrameBuffer()
             try:
                 for _ in range(units - 1):
-                    self._workers.append(Worker())
+                    self._workers.append(Worker(self._frame_buffer.fd))
                 # one round trip each, importing nothing, before any timing happens
                 for worker in self._workers:
                     worker.send(sys.path)
@@ -200,18 +202,22 @@ class SliceExecutor:
                     worker.recv()
             except (EOFError, OSError) as exc:
                 raise self._unit_died() from exc
-
-    @property
-    def frame_buffer_generation(self) -> int | None:
-        """Generation of the current frame buffer, or None while there is none."""
-        return None if self._frame_buffer is None else self._frame_buffer.generation
+            except BaseException:  # say Ctrl-C: leave no worker and no fd behind
+                self._stop_workers()
+                raise
 
     def _stop_workers(self) -> list[int]:
-        """Close every worker's socket, so it exits at EOF; reap it; return exit codes."""
+        """Close every worker's socket, so it exits at EOF, and the frame buffer.
+
+        Returns the workers' exit codes, once each has been reaped.
+        """
         for worker in self._workers:
             worker.sock.close()
         codes = [worker.process.wait() for worker in self._workers]
         self._workers = []
+        if self._frame_buffer is not None:
+            self._frame_buffer.close()
+            self._frame_buffer = None
         return codes
 
     def _unit_died(self) -> RuntimeError:
@@ -226,6 +232,8 @@ class SliceExecutor:
             raise RuntimeError(f"this {self.units}-unit executor is closed")
         if self._died is not None:
             raise RuntimeError(self._died)
+        if unit_count > self.units:
+            raise ValueError(f"a {unit_count}-unit run on a {self.units}-unit executor")
         return unit_count - 1 if self._workers else 0
 
     def depth_slices(self, image: RangeImage, spec: SliceSpec,
@@ -236,18 +244,10 @@ class SliceExecutor:
         if remote == 0:
             return views
         cols = spec.intervals[remote - 1][1]  # the worker-bound columns lead
-        size = image.xyz[:, :cols].nbytes + image.point_index[:, :cols].nbytes
-        # workers exist, so `process_units` is loaded
-        from .process_units import FrameBuffer, frame_arrays
-
-        if self._frame_buffer is None or self._frame_buffer.size < size:
-            self._release_frame_buffer()
-            self._generation += 1
-            self._frame_buffer = FrameBuffer(size, self._generation)
-        xyz, point_index = frame_arrays(self._frame_buffer.mapping, image.rows, cols)
+        xyz, point_index = self._frame_buffer.arrays(image.rows, cols)
         xyz[...] = image.xyz[:, :cols]
         point_index[...] = image.point_index[:, :cols]
-        return [FrameBand(self._generation, image.rows, cols, lo, hi, view.azimuth_span,
+        return [FrameBand(self._frame_buffer.fd, image.rows, cols, lo, hi, view.azimuth_span,
                           view.vertical_span, view.n_points)
                 for (lo, hi), view in zip(spec.intervals[:remote], views)] + views[remote:]
 
@@ -265,7 +265,7 @@ class SliceExecutor:
         try:
             try:
                 for worker, tasks in zip(self._workers, unit_tasks[:workers]):
-                    worker.send_unit(tasks, self._frame_buffer)
+                    worker.send_unit(tasks)
                     sent.append(worker)
                 inline = [_run_unit(tasks) for tasks in unit_tasks[workers:]]
             finally:
@@ -280,17 +280,9 @@ class SliceExecutor:
             raise self._unit_died() from exc
         return [value for _, value in replies] + inline
 
-    def _release_frame_buffer(self) -> None:
-        if self._frame_buffer is not None:
-            buffer, self._frame_buffer = self._frame_buffer, None
-            buffer.close()
-
     def close(self) -> None:
         self._closed = True
-        try:
-            self._stop_workers()
-        finally:
-            self._release_frame_buffer()
+        self._stop_workers()
 
     def __enter__(self):
         return self

@@ -2,15 +2,15 @@
 
 `SliceExecutor` imports this module only when it starts workers, so a run
 on one unit or on `serial` units loads none of `subprocess`, `socket` or
-`mmap`. A worker is a `python -c` subprocess, started with the caller's
-interpreter flags, running `_BOOT` on one end of a socket pair. Each
-message on the pair is a pickle behind its 8-byte little-endian length,
-read with exact-length `recv` loops and no buffered reader: a frame
-buffer's fd travels as one byte with SCM_RIGHTS right after the task that
-needs it, and a reader that read ahead would drop it. The frame buffer is a
-memfd (an unlinked temporary file where memfd is missing) that the caller
-fills and each worker maps read-only. Nothing is named, so nothing outlives
-the processes and no resource tracker runs.
+`mmap`. The executor's frame buffer is a memfd (an unlinked temporary file
+where memfd is missing), made before its workers start. A worker is a
+`python -c` subprocess, started with the caller's interpreter flags and
+the buffer's fd, running `_BOOT` on one end of a socket pair. Each message
+on the pair is a pickle behind its 8-byte little-endian length, read with
+exact-length `recv` loops. The caller grows the buffer in place and fills
+it; each worker maps it read-only, and again once it has grown past that
+mapping. Nothing is named, so nothing outlives the processes and no
+resource tracker runs.
 """
 
 from __future__ import annotations
@@ -82,18 +82,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
 
 
 class Worker:
-    """A worker process on one end of a socket pair; the caller holds the other."""
+    """A worker process on one end of a socket pair, holding the frame buffer's fd."""
 
-    def __init__(self):
+    def __init__(self, frame_fd: int):
         ours, theirs = socket.socketpair()
         with ours, theirs:
-            # stdin is not inherited: the caller may be reading its own
+            # stdin is not inherited: the caller may be reading its own; the
+            # frame buffer's fd keeps its number in the worker
             self.process = subprocess.Popen(
                 [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _BOOT,
                  str(theirs.fileno())],
-                pass_fds=[theirs.fileno()], stdin=subprocess.DEVNULL)
+                pass_fds=[theirs.fileno(), frame_fd], stdin=subprocess.DEVNULL)
             self.sock = socket.socket(fileno=ours.detach())
-        self.buffer = None  # generation of the frame buffer whose fd it was handed
 
     def send(self, obj) -> None:
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -104,14 +104,17 @@ class Worker:
         size = int.from_bytes(_recv_exact(self.sock, 8), "little")
         return pickle.loads(_recv_exact(self.sock, size))
 
-    def send_unit(self, tasks: list, frame_buffer: FrameBuffer | None) -> None:
-        """Send one unit's tasks; the frame buffer's fd follows the first task after it is new."""
-        if frame_buffer is not None and self.buffer != frame_buffer.generation:
-            self.send((_run_unit_on_new_buffer, (frame_buffer.generation, tasks)))
-            socket.send_fds(self.sock, [b"\0"], [frame_buffer.fd])
-            self.buffer = frame_buffer.generation
-        else:
-            self.send((_run_unit, tasks))
+    def send_unit(self, tasks: list) -> None:
+        self.send((run_unit, tasks))
+
+
+def run_unit(tasks) -> list[tuple[int, np.ndarray]]:
+    """A worker's unit, sent instead of `_run_unit`.
+
+    A worker then loads this module while unpickling its first task, not
+    partway through its first frame.
+    """
+    return _run_unit(tasks)
 
 
 def frame_arrays(buf, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,60 +124,52 @@ def frame_arrays(buf, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return xyz, point_index
 
 
-class FrameBuffer:
-    """A nameless file of `size` bytes, mapped read-write: a memfd, else an unlinked temp file."""
+def frame_size(rows: int, cols: int) -> int:
+    """Bytes of a rows x cols frame in the buffer: float64 xyz, then int64 point_index."""
+    return rows * cols * 32
 
-    def __init__(self, size: int, generation: int):
+
+class FrameBuffer:
+    """A nameless file that grows to fit each frame: a memfd, else an unlinked temp file."""
+
+    def __init__(self):
         if hasattr(os, "memfd_create"):
-            fd = os.memfd_create("groundslice-frame")
+            self.fd = os.memfd_create("groundslice-frame")
         else:
             with tempfile.TemporaryFile() as fh:
-                fd = os.dup(fh.fileno())
-        try:
-            os.ftruncate(fd, size)
-            self.mapping = mmap.mmap(fd, size)
-        except BaseException:
-            os.close(fd)
-            raise
-        self.fd, self.size, self.generation = fd, size, generation
+                self.fd = os.dup(fh.fileno())
+        self.mapping = None  # read-write, of the file's whole size
+
+    def arrays(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """`frame_arrays` of a rows x cols frame, after growing the file if it does not fit."""
+        size = frame_size(rows, cols)
+        if self.mapping is None or len(self.mapping) < size:
+            os.ftruncate(self.fd, size)
+            self.mapping = mmap.mmap(self.fd, size)
+        return frame_arrays(self.mapping, rows, cols)
 
     def close(self) -> None:
-        self.mapping.close()
+        if self.mapping is not None:
+            self.mapping.close()
         os.close(self.fd)
 
 
-# (buffer generation, read-only mapping) of the one frame buffer this worker maps
-_mapped_frame = None
+_mapping = None  # this worker's read-only mapping of the executor's frame buffer
 
 
 def band_view(band) -> RangeImage:
-    """The view `slice_columns` gives of a `FrameBand`, in this worker's frame buffer."""
-    if _mapped_frame is None or _mapped_frame[0] != band.buffer:
-        raise RuntimeError(f"frame buffer {band.buffer} is not mapped in this process")
-    xyz, point_index = frame_arrays(_mapped_frame[1], band.rows, band.cols)
+    """The view `slice_columns` gives of a `FrameBand`, in this worker's frame buffer.
+
+    The buffer is mapped again once it has grown past the mapping. The old
+    mapping goes with its last view, which a failed slice's traceback may
+    still hold.
+    """
+    global _mapping
+    if _mapping is None or len(_mapping) < frame_size(band.rows, band.cols):
+        _mapping = mmap.mmap(band.fd, 0, access=mmap.ACCESS_READ)
+    xyz, point_index = frame_arrays(_mapping, band.rows, band.cols)
     return RangeImage(rows=band.rows, cols=band.hi - band.lo,
                       xyz=xyz[:, band.lo:band.hi],
                       point_index=point_index[:, band.lo:band.hi],
                       azimuth_span=band.azimuth_span, vertical_span=band.vertical_span,
                       n_points=band.n_points)
-
-
-def _run_unit_on_new_buffer(arg) -> list[tuple[int, np.ndarray]]:
-    """A worker's unit, after mapping the executor's new frame buffer.
-
-    `arg` is (buffer generation, tasks). The buffer's fd follows the task on
-    the worker's socket (`sock` of `_BOOT`). The old mapping goes with its
-    last view, which a failed slice's traceback may still hold.
-    """
-    global _mapped_frame
-    import __main__
-
-    generation, tasks = arg
-    _, fds, _, _ = socket.recv_fds(__main__.sock, 1, 1)
-    if len(fds) != 1:
-        raise RuntimeError(f"expected the frame buffer's fd, got {len(fds)} fds")
-    try:
-        _mapped_frame = (generation, mmap.mmap(fds[0], 0, access=mmap.ACCESS_READ))
-    finally:
-        os.close(fds[0])
-    return _run_unit(tasks)

@@ -4,6 +4,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -114,9 +115,25 @@ def test_all_unit_counts_bit_identical(method, fast_cfg, process_pool):
 
 @pytest.mark.parametrize("method", ["depth", "ransac", "smrf"])
 def test_all_unit_counts_bit_identical_on_serial_units(method, fast_cfg):
+    baseline = frame_buffers(os.getpid())  # the session executor's, if any
     with SliceExecutor(5, "serial") as executor:
         assert_unit_counts_bit_identical(method, fast_cfg, executor)
-        assert executor.frame_buffer_generation is None  # depth views are passed as they are
+        assert frame_buffers(os.getpid()) == baseline  # depth views are passed as they are
+
+
+@pytest.mark.parametrize("backend", ["process", "serial"])
+def test_run_on_more_units_than_the_executor_has_raises(backend, fast_cfg):
+    frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
+    with SliceExecutor(2, backend) as executor:
+        for method in ("depth", "ransac"):
+            with pytest.raises(ValueError, match="a 3-unit run on a 2-unit executor"):
+                run_sliced(frame, method, 5, 3, fast_cfg, executor=executor)
+        if backend == "process":
+            assert executor._frame_buffer.mapping is None  # nothing was copied
+        # nothing was sent either: the executor still runs
+        for method in ("depth", "ransac"):
+            got, _ = run_sliced(frame, method, 5, 2, fast_cfg, executor=executor)
+            np.testing.assert_array_equal(got, run_sliced(frame, method, 5, 1, fast_cfg)[0])
 
 
 def test_ssl_frame_native_grid(fast_cfg, process_pool):
@@ -280,19 +297,19 @@ def test_unit_sweep_monotone_wall_time(fast_cfg):
 FRAME_BUFFER = "/memfd:groundslice-frame"
 
 
-def frame_buffers(pid: int) -> set[int]:
-    """Inodes of the frame buffers a process holds open or maps, from /proc."""
+def frame_buffers(pid: int, prefix: str = FRAME_BUFFER) -> set[int]:
+    """Inodes of the files under `prefix` (frame buffers) a process holds open or maps."""
     held = set()
     for fd in os.listdir(f"/proc/{pid}/fd"):
         try:
-            if os.readlink(f"/proc/{pid}/fd/{fd}").startswith(FRAME_BUFFER):
+            if os.readlink(f"/proc/{pid}/fd/{fd}").startswith(prefix):
                 held.add(os.stat(f"/proc/{pid}/fd/{fd}").st_ino)
         except FileNotFoundError:  # the listing's own fd, closed meanwhile
             pass
     with open(f"/proc/{pid}/maps") as fh:
         for line in fh:
             fields = line.split(maxsplit=5)
-            if len(fields) == 6 and fields[5].startswith(FRAME_BUFFER):
+            if len(fields) == 6 and fields[5].startswith(prefix):
                 held.add(int(fields[4]))
     return held
 
@@ -317,13 +334,11 @@ def open_fds() -> dict[int, str]:
     return links
 
 
-def run_buffer_sequence(executor, probe=None) -> list:
+def run_buffer_sequence(executor, probe) -> list:
     """Depth at K=5 on 2 units over 64x1024, 126x625, 128x1024 and 64x1024 frames.
 
-    Each mask must equal its P=1 mask. Returns `probe()` after each frame,
-    by default the executor's frame buffer generation.
+    Each mask must equal its P=1 mask. Returns `probe()` after each frame.
     """
-    probe = probe or (lambda: executor.frame_buffer_generation)
     cfg = default_config()
     ssl_cfg, tall_cfg = copy.deepcopy(cfg), copy.deepcopy(cfg)
     ssl_cfg.depth.sensor_height = 1.0
@@ -340,24 +355,25 @@ def run_buffer_sequence(executor, probe=None) -> list:
     return seen
 
 
-def test_frame_buffer_replaced_only_when_a_frame_does_not_fit():
+def test_caller_and_worker_hold_one_frame_buffer_as_frames_grow():
     baseline = frame_buffers(os.getpid())  # the session executor's, if any
     before = children()
     with SliceExecutor(2, "process") as executor:
         (worker,) = children() - before
 
         def probe():
-            return (executor.frame_buffer_generation,
-                    frame_buffers(os.getpid()) - baseline, frame_buffers(worker))
+            return (frame_buffers(os.getpid()) - baseline, frame_buffers(worker),
+                    os.fstat(executor._frame_buffer.fd).st_size)
 
+        # made before the worker started, which holds it from its start
+        held = frame_buffers(os.getpid()) - baseline
+        assert len(held) == 1 and frame_buffers(worker) == held
         seen = run_buffer_sequence(executor, probe)
-    gens = [gen for gen, _, _ in seen]
+    # the same memfd from the first frame to the last, in the caller and the worker
+    assert all(caller == worker_held == held for caller, worker_held, _ in seen)
+    sizes = [size for _, _, size in seen]
     # each frame outgrows the buffer before it but the last, which fits the third's
-    assert gens[3] == gens[2] != gens[1] != gens[0]
-    for _, caller, worker_held in seen:
-        # one buffer at a time: the outgrown one is gone from the caller and the worker
-        assert len(caller) == 1 and worker_held == caller
-    assert len({min(caller) for _, caller, _ in seen}) == 3
+    assert sizes[0] < sizes[1] < sizes[2] == sizes[3]
 
 
 def test_frame_buffer_released_on_close_without_a_tracker():
@@ -378,20 +394,20 @@ def test_frame_buffer_released_on_close_without_a_tracker():
             (worker,) = children()
             with open(f"/proc/{{worker}}/cmdline") as fh:
                 assert fh.read().split("\\0")[:len(flags) + 2] == [sys.executable, *flags, "-c"]
-            gens = run_buffer_sequence(ex)
+            held = run_buffer_sequence(
+                ex, lambda: (frame_buffers(os.getpid()), frame_buffers(worker)))
             assert children() == {{worker}}  # no resource tracker, no other helper
-        assert ex.frame_buffer_generation is None
         assert not children() and not frame_buffers(os.getpid())
         assert open_fds().items() <= fds.items()
         assert "multiprocessing.resource_tracker" not in sys.modules
-        print(*gens)
+        (caller, worker_held), = set((frozenset(c), frozenset(w)) for c, w in held)
+        print(len(held), len(caller), caller == worker_held)
     """)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
-    gens = out.stdout.split()
-    assert len(gens) == 4 and len(set(gens)) == 3  # created, then outgrown twice
+    assert out.stdout == "4 1 True\n"  # one buffer, in the caller and the worker, for 4 frames
 
 
 def _after_sleep(seconds, task):
@@ -486,7 +502,7 @@ def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, mon
     assert all(isinstance(t[2], FrameBand) for t in worker)
     assert all(isinstance(t[2], RangeImage) and np.shares_memory(t[2].xyz, image.xyz)
                for t in caller)
-    assert process_units._mapped_frame is None  # the caller never maps the buffer
+    assert process_units._mapping is None  # the caller never maps the buffer read-only
 
 
 @pytest.mark.parametrize("backend", ["process", "serial"])
@@ -497,7 +513,7 @@ def test_caller_refuses_a_frame_band(backend, fast_cfg):
     with SliceExecutor(2, backend) as executor:
         with pytest.raises(AssertionError, match="map its own frame buffer"):
             executor.run_units([[], [("depth", 1, band, fast_cfg.depth, 1)]])
-    assert process_units._mapped_frame is None
+    assert process_units._mapping is None
 
 
 @pytest.mark.parametrize("units, backend, unit_counts", [
@@ -505,11 +521,19 @@ def test_caller_refuses_a_frame_band(backend, fast_cfg):
 def test_runs_without_workers_create_no_frame_buffer(units, backend, unit_counts, fast_cfg):
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
     ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
+    baseline = frame_buffers(os.getpid())  # the session executor's, if any
     with SliceExecutor(units, backend) as executor:
+        # only a process executor with workers holds one, made with them
+        held = frame_buffers(os.getpid()) - baseline
+        has_buffer = (units, backend) == (2, "process")
+        assert len(held) == has_buffer and (executor._frame_buffer is not None) == has_buffer
         for p in unit_counts:
             got, _ = run_sliced(frame, "depth", 5, p, fast_cfg, executor=executor)
             np.testing.assert_array_equal(got, ref)
-            assert executor.frame_buffer_generation is None
+            assert frame_buffers(os.getpid()) - baseline == held
+            if held:  # a P=1 run neither maps nor grows it
+                assert executor._frame_buffer.mapping is None
+                assert os.fstat(executor._frame_buffer.fd).st_size == 0
 
 
 def test_dead_unit_raises_and_close_still_releases(fast_cfg, dying_task):
@@ -523,18 +547,18 @@ def test_dead_unit_raises_and_close_still_releases(fast_cfg, dying_task):
         assert len(frame_buffers(os.getpid()) - baseline) == 1
         with pytest.raises(RuntimeError, match=r"processing unit died.*exit codes \[1\]"):
             executor.run_units([[dying_task], []])
+        assert frame_buffers(os.getpid()) <= baseline  # released with the workers
         with pytest.raises(RuntimeError, match="processing unit died"):
             run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
     finally:
         executor.close()
-    assert executor.frame_buffer_generation is None
     assert frame_buffers(os.getpid()) <= baseline
 
 
 @pytest.mark.parametrize("dies", [False, True], ids=["closed", "died"])
 def test_close_leaves_no_worker_and_no_frame_buffer_fd(dies, fast_cfg, dying_task):
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
-    before, fds = children(), open_fds()
+    before, fds, baseline = children(), open_fds(), frame_buffers(os.getpid())
     executor = SliceExecutor(3, "process")
     try:
         run_sliced(frame, "depth", 5, 3, fast_cfg, executor=executor)
@@ -551,6 +575,7 @@ def test_close_leaves_no_worker_and_no_frame_buffer_fd(dies, fast_cfg, dying_tas
         executor.close()
     assert not children() & workers
     assert open_fds().items() <= fds.items()
+    assert frame_buffers(os.getpid()) <= baseline  # neither open nor mapped
 
 
 @pytest.mark.parametrize("backend", ["process", "serial"])
@@ -649,16 +674,48 @@ def test_workers_get_the_callers_interpreter_flags(tmp_path):
 
 
 def test_warm_up_death_raises_unit_died_and_exits(tmp_path):
-    # a worker that exits before replying dies inside the executor's warm-up
-    out = _run_script(tmp_path, """
+    # a worker that exits before replying dies inside the executor's warm-up,
+    # which closes the frame buffer made before it
+    out = _run_script(tmp_path, f"""
+        sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+        from test_parallel_exec import open_fds
         from groundslice import parallel_exec, process_units
         process_units._BOOT = "import os; os._exit(3)"
-        parallel_exec.SliceExecutor(2, "process").close()
+        fds = open_fds()
+        try:
+            parallel_exec.SliceExecutor(2, "process").close()
+        finally:
+            print(open_fds().items() <= fds.items())
     """)
     assert out.returncode != 0
+    assert out.stdout == "True\n"  # no fd is left open
     last = out.stderr.strip().splitlines()[-1]
     assert last.startswith("RuntimeError: a processing unit died"), out.stderr[-2000:]
     assert last.endswith("(worker exit codes [3])")
+
+
+@pytest.mark.parametrize("error, raised", [(OSError, RuntimeError),
+                                           (KeyboardInterrupt, KeyboardInterrupt)])
+def test_failed_worker_start_leaves_no_worker_and_no_fd(error, raised, monkeypatch):
+    # the second worker cannot start, or Ctrl-C lands while it starts: the
+    # first worker is stopped and the frame buffer closed
+    popen, started = subprocess.Popen, []
+
+    def second_fails(*args, **kwargs):
+        if started:
+            raise error()
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", second_fails)
+    before, fds = children(), open_fds()
+    with pytest.raises(raised) as info:
+        SliceExecutor(3, "process")
+    if raised is RuntimeError:
+        assert "processing unit died" in str(info.value)
+        assert isinstance(info.value.__cause__, OSError)
+    assert started[0].returncode is not None and children() == before
+    assert open_fds().items() <= fds.items()
 
 
 def test_unguarded_script_runs_process_units(tmp_path):
@@ -726,20 +783,25 @@ def test_frame_buffer_falls_back_to_a_temporary_file(monkeypatch, fast_cfg):
     monkeypatch.delattr(os, "memfd_create")
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
     ref, _ = run_sliced(frame, "depth", 5, 1, fast_cfg)
-    fds = open_fds()
+    fds, before = open_fds(), children()
+    temp_files = frame_buffers(os.getpid(), tempfile.gettempdir())
     with SliceExecutor(2, "process") as executor:
+        (worker,) = children() - before
         got, _ = run_sliced(frame, "depth", 5, 2, fast_cfg, executor=executor)
-        assert executor.frame_buffer_generation == 1
         held = [link for fd, link in open_fds().items() if fd not in fds]
         assert any(link.endswith("(deleted)") and not link.startswith(FRAME_BUFFER)
                    for link in held), held
+        # one unlinked file, which the worker holds and maps too
+        (buffer,) = frame_buffers(os.getpid(), tempfile.gettempdir()) - temp_files
+        assert buffer in frame_buffers(worker, tempfile.gettempdir())
     np.testing.assert_array_equal(got, ref)
     assert open_fds().items() <= fds.items()
 
 
 def test_unit_maps_a_new_buffer_after_a_failed_slice():
     # a one-row image fails in every slice; the units, which keep the failed
-    # slices' tracebacks, must still map the next, larger frame's buffer
+    # slices' tracebacks, must still map the buffer again once the next,
+    # larger frame has grown it
     cfg = default_config()
     flat_cfg = copy.deepcopy(cfg)
     flat_cfg.projection.rows = 1
@@ -748,7 +810,7 @@ def test_unit_maps_a_new_buffer_after_a_failed_slice():
     with SliceExecutor(2, "process") as executor:
         with pytest.raises(SliceError, match="at least 2 rows"):
             run_sliced(frame, "depth", 5, 2, flat_cfg, executor=executor)
-        small = executor.frame_buffer_generation
+        small = os.fstat(executor._frame_buffer.fd).st_size
         got, _ = run_sliced(frame, "depth", 5, 2, cfg, executor=executor)
-        assert executor.frame_buffer_generation != small
+        assert os.fstat(executor._frame_buffer.fd).st_size > small
     np.testing.assert_array_equal(got, ref)
