@@ -155,13 +155,13 @@ def cmd_segment(args) -> int:
                 f"seed={args.seed} {source}", ""]
     with SliceExecutor(p, cfg.parallel.backend) as executor:
         for frame, record_of_point, n_records in inputs:
-            mask, record = run_sliced(frame, args.method, k, p, cfg,
-                                      seed=args.seed, executor=executor)
+            mask, wall_ms = run_sliced(frame, args.method, k, p, cfg,
+                                       seed=args.seed, executor=executor)
             out = np.zeros(n_records, dtype=np.uint8)
             out[record_of_point] = mask
             (out_dir / f"{frame.frame_id}.mask").write_bytes(out.tobytes())
             manifest.append(f"# frame {frame.frame_id}: {int(mask.sum())} ground, "
-                            f"{record.wall_ms:.3f} ms")
+                            f"{wall_ms:.3f} ms")
     manifest.append("")
     manifest.append(dump_config(cfg))
     (out_dir / "manifest.txt").write_text("\n".join(manifest))
@@ -191,7 +191,8 @@ def cmd_eval(args) -> int:
 
     frame_rows = []
     summary_rows = []
-    with SliceExecutor(args.units, cfg.parallel.backend) as executor:
+    # no run uses more units than it has slices
+    with SliceExecutor(min(args.units, max(slice_counts)), cfg.parallel.backend) as executor:
         for method in methods:
             for k in slice_counts:
                 iou_values, f1_values = [], []
@@ -238,18 +239,19 @@ def cmd_bench(args) -> int:
     records = []
     timing = dict(seed=args.seed, repeats=cfg.parallel.bench_repeats,
                   warmup=cfg.parallel.bench_warmup)
-    for frame in frames:
-        baseline = time_baseline(frame, args.method, cfg, **timing)
-        for p in unit_set:
-            with SliceExecutor(p, cfg.parallel.backend) as executor:
+    # one executor for the sweep: a run may use fewer units than it has
+    with SliceExecutor(max(unit_set), cfg.parallel.backend) as executor:
+        for frame in frames:
+            baseline = time_baseline(frame, args.method, cfg, **timing)
+            for p in unit_set:
                 wall_ms = time_baseline(frame, args.method, cfg, **timing,
                                         k=k, p=p, executor=executor)
-            rec = BenchmarkRecord(method=args.method, slices=k, units=p,
-                                  frame=frame.frame_id, wall_ms=wall_ms,
-                                  speedup=baseline / wall_ms)
-            records.append(rec)
-            print(f"{frame.frame_id} K={k} P={p}: {rec.wall_ms:.3f} ms "
-                  f"(speedup {rec.speedup:.2f}x)")
+                rec = BenchmarkRecord(method=args.method, slices=k, units=p,
+                                      frame=frame.frame_id, wall_ms=wall_ms,
+                                      speedup=baseline / wall_ms)
+                records.append(rec)
+                print(f"{frame.frame_id} K={k} P={p}: {rec.wall_ms:.3f} ms "
+                      f"(speedup {rec.speedup:.2f}x)")
     write_bench_csv(records, out_dir / "bench.csv")
     return 0
 
@@ -319,8 +321,8 @@ def cmd_decode_ssl(args) -> int:
         fh.write(frame.valid.astype(np.uint8).tobytes())
 
     print(f"decoded {path.name}: {frame.rows}x{frame.cols} grid, "
-          f"{frame.subframe_count} subframes of {sslmod.RECORDS_PER_SUBFRAME} points")
-    for s in range(frame.subframe_count):
+          f"{sslmod.SUBFRAME_COUNT} subframes of {sslmod.RECORDS_PER_SUBFRAME} points")
+    for s in range(sslmod.SUBFRAME_COUNT):
         xyz, valid = sslmod.subframe(frame, s)
         n_valid = int(valid.sum())
         line = f"subframe {s}: valid {n_valid}/{sslmod.RECORDS_PER_SUBFRAME}"

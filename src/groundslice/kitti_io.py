@@ -1,9 +1,10 @@
 """SemanticKITTI-layout ingestion: velodyne scans, per-point labels, sequences.
 
 Scan files are headerless little-endian float32 quadruples (x, y, z,
-intensity); label files are one little-endian uint32 per point whose lower
-16 bits carry the semantic class. Ground-related classes are remapped into a
-single binary ground-truth mask.
+intensity); the loader checks all four fields but keeps only xyz, since no
+method reads intensity. Label files are one little-endian uint32 per point
+whose lower 16 bits carry the semantic class. Ground-related classes are
+remapped into a single binary ground-truth mask.
 """
 
 from __future__ import annotations
@@ -31,40 +32,34 @@ _LABEL_RECORD_BYTES = 4  # 1 x uint32
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points in meters plus per-point intensity.
+    """Ordered 3D points in meters, read-only.
 
     Point order is the universal index space: every mask produced downstream
     aligns with it, so no transform may reorder or drop points silently.
-    The loaders and savers, `ssl_to_point_cloud`, `make_random_cloud` and
-    `Frame.cloud` use it; the segmenters, projection and azimuth slicing
-    take its (N, 3) `xyz` array alone.
+    The loaders, `ssl_to_point_cloud`, `make_random_cloud` and `Frame.cloud`
+    use it; the segmenters, projection and azimuth slicing take its (N, 3)
+    `xyz` array alone.
     """
 
     xyz: np.ndarray  # (N, 3) float64
-    intensity: np.ndarray  # (N,) float64
 
     def __post_init__(self):
         xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
-        intensity = np.ascontiguousarray(self.intensity, dtype=np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise ValueError(f"xyz must be (N, 3), got {xyz.shape}")
-        if intensity.shape != (xyz.shape[0],):
-            raise ValueError("intensity length does not match point count")
         xyz.setflags(write=False)
-        intensity.setflags(write=False)
         object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "intensity", intensity)
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
 
 def load_velodyne_bin(path) -> tuple[PointCloud, np.ndarray]:
-    """Load a velodyne scan, dropping non-finite points.
+    """Load a velodyne scan's xyz, dropping non-finite points.
 
     Returns the cloud and the indices (into the raw file order) of records
-    dropped for carrying NaN/Inf, so paired label masks can be filtered
-    identically.
+    dropped for carrying NaN/Inf in any of their four fields, intensity
+    included, so paired label masks can be filtered identically.
     """
     path = Path(path)
     if not path.is_file():
@@ -82,18 +77,8 @@ def load_velodyne_bin(path) -> tuple[PointCloud, np.ndarray]:
         kept = finite.all(axis=1)
         dropped = np.flatnonzero(~kept)
         records = records[kept]
-    # float32 -> float64 once per field, straight into C-contiguous arrays
-    xyz = records[:, :3].astype(np.float64, order="C")
-    intensity = records[:, 3].astype(np.float64)
-    return PointCloud(xyz=xyz, intensity=intensity), dropped
-
-
-def save_velodyne_bin(cloud: PointCloud, path) -> None:
-    """Serialize a cloud back to the scan record format (float32 quadruples)."""
-    records = np.empty((len(cloud), 4), dtype="<f4")
-    records[:, :3] = cloud.xyz
-    records[:, 3] = cloud.intensity
-    records.tofile(path)
+    # float32 -> float64 once, straight into a C-contiguous array
+    return PointCloud(xyz=records[:, :3].astype(np.float64, order="C")), dropped
 
 
 def load_labels(path, ground_classes=GROUND_CLASSES_DEFAULT) -> np.ndarray:

@@ -29,9 +29,8 @@ import numpy as np
 
 from .config import BACKENDS, RunConfig
 from .kitti_io import PointCloud
-from .range_image import (RangeImage, SliceSpec, from_ssl_frame, merge_masks,
-                          partition_azimuth, project_spherical, slice_columns,
-                          slice_intervals)
+from .range_image import (RangeImage, from_ssl_frame, merge_masks, partition_azimuth,
+                          project_spherical, slice_columns, slice_intervals)
 from .seg_depth import depth_segment_image
 from .seg_ransac import ransac_ground
 from .seg_smrf import smrf_segment
@@ -44,7 +43,6 @@ METHODS = ("depth", "ransac", "smrf")
 class PuAllocation:
     """Balanced contiguous mapping of K slices onto P processing units."""
 
-    slice_count: int
     unit_count: int
     assignment: tuple[int, ...]  # slice index -> unit index
 
@@ -59,7 +57,7 @@ class BenchmarkRecord:
     units: int
     frame: str
     wall_ms: float
-    speedup: float | None = None
+    speedup: float
 
 
 @dataclass
@@ -98,7 +96,7 @@ def allocate(k: int, p: int) -> PuAllocation:
         raise ValueError(f"unit count {p} out of range 1..{k}")
     assignment = tuple(u for u, (lo, hi) in enumerate(slice_intervals(k, p))
                        for _ in range(lo, hi))
-    return PuAllocation(slice_count=k, unit_count=p, assignment=assignment)
+    return PuAllocation(unit_count=p, assignment=assignment)
 
 
 class SliceError(RuntimeError):
@@ -125,7 +123,9 @@ class FrameBand(NamedTuple):
     """Column band [lo, hi) of a frame held in an executor's frame buffer.
 
     A depth task for a worker carries this instead of the band's view, and
-    the worker rebuilds the view that `slice_columns` gives.
+    the worker rebuilds the view that `slice_columns` gives: the buffer's
+    arrays hold the pixels, so only their shape, the band and the size of
+    the cloud the point indices address travel.
     """
 
     fd: int  # of the executor's frame buffer, the same number in every worker
@@ -133,8 +133,6 @@ class FrameBand(NamedTuple):
     cols: int  # of the buffer: the frame's leading, worker-bound columns
     lo: int
     hi: int
-    azimuth_span: tuple[float, float]
-    vertical_span: tuple[float, float]
     n_points: int
 
 
@@ -236,20 +234,19 @@ class SliceExecutor:
             raise ValueError(f"a {unit_count}-unit run on a {self.units}-unit executor")
         return unit_count - 1 if self._workers else 0
 
-    def depth_slices(self, image: RangeImage, spec: SliceSpec,
+    def depth_slices(self, image: RangeImage, intervals: tuple[tuple[int, int], ...],
                      views: list[RangeImage], allocation: PuAllocation) -> list:
         """What each depth task carries: a frame-buffer band for a worker, else its view."""
         workers = self._worker_units(allocation.unit_count)
         remote = sum(u < workers for u in allocation.assignment)
         if remote == 0:
             return views
-        cols = spec.intervals[remote - 1][1]  # the worker-bound columns lead
+        cols = intervals[remote - 1][1]  # the worker-bound columns lead
         xyz, point_index = self._frame_buffer.arrays(image.rows, cols)
         xyz[...] = image.xyz[:, :cols]
         point_index[...] = image.point_index[:, :cols]
-        return [FrameBand(self._frame_buffer.fd, image.rows, cols, lo, hi, view.azimuth_span,
-                          view.vertical_span, view.n_points)
-                for (lo, hi), view in zip(spec.intervals[:remote], views)] + views[remote:]
+        return [FrameBand(self._frame_buffer.fd, image.rows, cols, lo, hi, image.n_points)
+                for lo, hi in intervals[:remote]] + views[remote:]
 
     def run_units(self, unit_tasks: list[list]) -> list[list[tuple[int, np.ndarray]]]:
         """Per-unit results; raises the first failure in unit order."""
@@ -293,11 +290,11 @@ class SliceExecutor:
 
 def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
                seed: int = 0, executor: SliceExecutor | None = None
-               ) -> tuple[np.ndarray, BenchmarkRecord]:
+               ) -> tuple[np.ndarray, float]:
     """Segment one frame with K slices on P units.
 
-    Returns the merged per-point ground mask and a timing record. The wall
-    time covers slicing, per-slice segmentation and the merge; input
+    Returns the merged per-point ground mask and the run's wall time in ms,
+    which covers slicing, per-slice segmentation and the merge; input
     preparation (projection, decoding) happens before the clock starts.
     P = 1 always runs inline regardless of executor; for P > 1 without an
     executor the run builds and closes its own. At K = 1 a point method
@@ -316,9 +313,9 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
     try:
         t0 = time.perf_counter()
         if method == "depth":
-            spec, data = slice_columns(image, k)
+            intervals, data = slice_columns(image, k)
             if p > 1:
-                data = executor.depth_slices(image, spec, data, allocation)
+                data = executor.depth_slices(image, intervals, data, allocation)
         elif k == 1:
             # one sector holds every point in order: no partition, gather or scatter
             data = [frame.cloud.xyz]
@@ -329,7 +326,7 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
         tasks = [(method, s, data[s], method_cfg, seed ^ s) for s in range(k)]
         results = _dispatch(tasks, allocation, p, executor)
         if method == "depth":
-            mask = merge_masks([results[s] for s in range(k)], image, spec)
+            mask = merge_masks([results[s] for s in range(k)], image, intervals)
         elif k == 1:
             mask = results[0]
         else:
@@ -340,10 +337,7 @@ def run_sliced(frame: Frame, method: str, k: int, p: int, cfg: RunConfig,
     finally:
         if own_executor is not None:
             own_executor.close()
-
-    record = BenchmarkRecord(method=method, slices=k, units=p,
-                             frame=frame.frame_id, wall_ms=wall_ms)
-    return mask, record
+    return mask, wall_ms
 
 
 def _dispatch(tasks, allocation: PuAllocation, p: int,
@@ -367,8 +361,7 @@ def time_baseline(frame: Frame, method: str, cfg: RunConfig, seed: int = 0,
         run_sliced(frame, method, k, p, cfg, seed=seed, executor=executor)
     times = []
     for _ in range(repeats):
-        _, record = run_sliced(frame, method, k, p, cfg, seed=seed, executor=executor)
-        times.append(record.wall_ms)
+        times.append(run_sliced(frame, method, k, p, cfg, seed=seed, executor=executor)[1])
     times.sort()
     mid = len(times) // 2
     return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
@@ -379,6 +372,5 @@ def write_bench_csv(records: list[BenchmarkRecord], path) -> None:
     with open(path, "w") as fh:
         fh.write("method,slices,units,frame,wall_ms,speedup\n")
         for r in records:
-            speedup = f"{r.speedup:.4f}" if r.speedup is not None else ""
             fh.write(f"{r.method},{r.slices},{r.units},{r.frame},"
-                     f"{r.wall_ms:.4f},{speedup}\n")
+                     f"{r.wall_ms:.4f},{r.speedup:.4f}\n")

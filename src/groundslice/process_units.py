@@ -168,8 +168,5 @@ def band_view(band) -> RangeImage:
     if _mapping is None or len(_mapping) < frame_size(band.rows, band.cols):
         _mapping = mmap.mmap(band.fd, 0, access=mmap.ACCESS_READ)
     xyz, point_index = frame_arrays(_mapping, band.rows, band.cols)
-    return RangeImage(rows=band.rows, cols=band.hi - band.lo,
-                      xyz=xyz[:, band.lo:band.hi],
-                      point_index=point_index[:, band.lo:band.hi],
-                      azimuth_span=band.azimuth_span, vertical_span=band.vertical_span,
+    return RangeImage(xyz=xyz[:, band.lo:band.hi], point_index=point_index[:, band.lo:band.hi],
                       n_points=band.n_points)

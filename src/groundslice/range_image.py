@@ -2,9 +2,11 @@
 
 The range image is the bridge between point clouds and image-space
 segmentation. Projection and azimuth partitioning take an (N, 3) float64
-xyz array. Slicing cuts an image into K near-equal column bands whose views
-share the parent's point-index map, so per-slice pixel masks merge back into
-per-point masks without bookkeeping.
+xyz array. An image holds only its per-pixel returns and the point each
+came from, so a column band is the same kind of image. Slicing cuts an
+image into K near-equal column bands whose views share the parent's
+point-index map, so per-slice pixel masks merge back into per-point masks
+given only the column intervals.
 """
 
 from __future__ import annotations
@@ -22,18 +24,24 @@ EMPTY = -1  # point_index sentinel for pixels holding no return
 
 @dataclass(frozen=True)
 class RangeImage:
-    rows: int
-    cols: int
+    """Per-pixel returns and the cloud point each came from; rows and cols are its shape."""
+
     xyz: np.ndarray  # (rows, cols, 3) float64
     point_index: np.ndarray  # (rows, cols) int64, EMPTY where no return
-    azimuth_span: tuple[float, float]  # radians, [start, end)
-    vertical_span: tuple[float, float]  # radians, (top, bottom)
     n_points: int  # size of the source cloud the indices refer to
-    n_out_of_span: int = 0  # points excluded for falling outside vertical_span
+    n_out_of_span: int = 0  # points excluded for falling outside the vertical span
 
     def __post_init__(self):
         for name in ("xyz", "point_index"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def rows(self) -> int:
+        return self.point_index.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.point_index.shape[1]
 
     @property
     def range_m(self) -> np.ndarray:
@@ -44,14 +52,6 @@ class RangeImage:
         rng = np.where(self.point_index != EMPTY, np.linalg.norm(self.xyz, axis=2), 0.0)
         rng.setflags(write=False)
         return rng
-
-
-@dataclass(frozen=True)
-class SliceSpec:
-    """K contiguous column intervals [start, end) partitioning [0, cols)."""
-
-    slice_count: int
-    intervals: tuple[tuple[int, int], ...]
 
 
 def project_spherical(xyz: np.ndarray, rows: int, cols: int,
@@ -80,16 +80,8 @@ def project_spherical(xyz: np.ndarray, rows: int, cols: int,
     out_xyz = out_xyz.reshape(rows, cols, 3)
     point_index = point_index.reshape(rows, cols)
 
-    return RangeImage(
-        rows=rows,
-        cols=cols,
-        xyz=out_xyz,
-        point_index=point_index,
-        azimuth_span=(-math.pi, math.pi),
-        vertical_span=(v_top, v_bottom),
-        n_points=len(xyz),
-        n_out_of_span=len(xyz) - n_binned,
-    )
+    return RangeImage(xyz=out_xyz, point_index=point_index, n_points=len(xyz),
+                      n_out_of_span=len(xyz) - n_binned)
 
 
 def _nearest_in_each_pixel(xyz: np.ndarray, rows: int, cols: int, v_top: float,
@@ -161,16 +153,7 @@ def from_ssl_frame(frame: SslFrame) -> tuple[RangeImage, PointCloud]:
     cloud that is returned alongside.
     """
     cloud, pixel_to_point = ssl_to_point_cloud(frame)
-    image = RangeImage(
-        rows=frame.rows,
-        cols=frame.cols,
-        xyz=frame.xyz,
-        point_index=pixel_to_point,
-        azimuth_span=(0.0, 2.0 * math.pi),
-        vertical_span=(math.pi / 2, -math.pi / 2),
-        n_points=len(cloud),
-    )
-    return image, cloud
+    return RangeImage(xyz=frame.xyz, point_index=pixel_to_point, n_points=len(cloud)), cloud
 
 
 def slice_intervals(cols: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -188,45 +171,36 @@ def slice_intervals(cols: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(intervals)
 
 
-def slice_columns(image: RangeImage, k: int) -> tuple[SliceSpec, list[RangeImage]]:
+def slice_columns(image: RangeImage, k: int
+                  ) -> tuple[tuple[tuple[int, int], ...], list[RangeImage]]:
     """Cut a range image into K contiguous column-band views.
 
-    Views share the parent's arrays (read-only), so their point_index values
-    still address the original cloud.
+    Returns the K column intervals [lo, hi) and the views. Views share the
+    parent's arrays (read-only), so their point_index values still address
+    the original cloud.
     """
     if not 1 <= k <= image.cols:
         raise ValueError(f"slice count {k} out of range 1..{image.cols}")
     intervals = slice_intervals(image.cols, k)
-    az_start, az_end = image.azimuth_span
-    az_width = (az_end - az_start) / image.cols
-    views = []
-    for lo, hi in intervals:
-        views.append(
-            RangeImage(
-                rows=image.rows,
-                cols=hi - lo,
-                xyz=image.xyz[:, lo:hi],
-                point_index=image.point_index[:, lo:hi],
-                azimuth_span=(az_start + lo * az_width, az_start + hi * az_width),
-                vertical_span=image.vertical_span,
-                n_points=image.n_points,
-            )
-        )
-    return SliceSpec(slice_count=k, intervals=intervals), views
+    views = [RangeImage(xyz=image.xyz[:, lo:hi], point_index=image.point_index[:, lo:hi],
+                        n_points=image.n_points)
+             for lo, hi in intervals]
+    return intervals, views
 
 
 def merge_masks(slice_masks: list[np.ndarray], image: RangeImage,
-                spec: SliceSpec) -> np.ndarray:
+                intervals: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Merge per-slice pixel masks into one per-point ground mask.
 
-    A point is ground iff its pixel is marked in its owning slice. Points
-    that never made it into the image (bin-collision losers, out-of-span)
-    stay non-ground.
+    `intervals` are the column intervals `slice_columns` cut. A point is
+    ground iff its pixel is marked in its owning slice. Points that never
+    made it into the image (bin-collision losers, out-of-span) stay
+    non-ground.
     """
-    if len(slice_masks) != spec.slice_count:
+    if len(slice_masks) != len(intervals):
         raise ValueError("mask count does not match slice count")
     out = np.zeros(image.n_points, dtype=bool)
-    for mask, (lo, hi) in zip(slice_masks, spec.intervals):
+    for mask, (lo, hi) in zip(slice_masks, intervals):
         if mask.shape != (image.rows, hi - lo):
             raise ValueError(
                 f"slice mask shape {mask.shape} does not match view {(image.rows, hi - lo)}"

@@ -28,10 +28,6 @@ class PlaneModel:
         dist += self.d
         return np.abs(dist, out=dist)
 
-    def tilt(self) -> float:
-        """Angle between the normal and the +z axis, radians."""
-        return math.acos(min(1.0, max(-1.0, float(self.normal[2]))))
-
 
 def fit_plane_3pts(p1, p2, p3) -> PlaneModel:
     """Plane through three points, canonically oriented.

@@ -47,11 +47,15 @@ class SmrfGrid:
     origin: tuple[float, float]  # (min_x, min_y)
     elevation: np.ndarray  # (ny, nx) float64
     occupied: np.ndarray  # (ny, nx) bool
-    inpainted: np.ndarray  # (ny, nx) bool
 
     @property
     def shape(self):
         return self.elevation.shape
+
+    @property
+    def inpainted(self) -> np.ndarray:
+        """(ny, nx) bool, the cells no point fell in; computed on each access."""
+        return ~self.occupied
 
 
 def _cell_indices(grid: SmrfGrid, xy: np.ndarray):
@@ -94,7 +98,6 @@ def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
         origin=(float(min_x), float(min_y)),
         elevation=np.full((ny, nx), np.inf),
         occupied=np.zeros((ny, nx), dtype=bool),
-        inpainted=np.zeros((ny, nx), dtype=bool),
     )
     # one flat cell index per point; every point lies in the box, so the
     # truncating cast is the floor
@@ -103,7 +106,6 @@ def rasterize_min_surface(xyz: np.ndarray, cell_size: float) -> SmrfGrid:
     cell = iy * nx + ix
     np.minimum.at(grid.elevation.ravel(), cell, xyz[:, 2])
     grid.occupied.ravel()[cell] = True
-    np.logical_not(grid.occupied, out=grid.inpainted)
     _inpaint_nearest(grid.elevation, grid.occupied)
     return grid
 

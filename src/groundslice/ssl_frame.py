@@ -60,9 +60,6 @@ class SslFrame:
     valid: np.ndarray  # (126, 625) bool
     index_map: np.ndarray  # (126, 625) int64, bijection onto 0..78749
 
-    subframe_width: int = SUBFRAME_COLS
-    subframe_count: int = SUBFRAME_COUNT
-
     def __post_init__(self):
         for name in ("xyz", "valid", "index_map"):
             arr = getattr(self, name)
@@ -126,10 +123,10 @@ def encode_ssl_frame(frame: SslFrame) -> SslRawFrame:
 
 def subframe(frame: SslFrame, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (xyz, valid) views of subframe i's 126x125 columns."""
-    if not 0 <= i < frame.subframe_count:
-        raise IndexError(f"subframe index {i} out of range 0..{frame.subframe_count - 1}")
-    lo = i * frame.subframe_width
-    hi = lo + frame.subframe_width
+    if not 0 <= i < SUBFRAME_COUNT:
+        raise IndexError(f"subframe index {i} out of range 0..{SUBFRAME_COUNT - 1}")
+    lo = i * SUBFRAME_COLS
+    hi = lo + SUBFRAME_COLS
     xyz = frame.xyz[:, lo:hi]
     valid = frame.valid[:, lo:hi]
     xyz.setflags(write=False)
@@ -147,12 +144,9 @@ def ssl_to_point_cloud(frame: SslFrame):
     from .kitti_io import PointCloud
 
     cells = np.flatnonzero(frame.valid)
-    n = cells.size
     pixel_to_point = np.full(frame.valid.shape, -1, dtype=np.int64)
-    pixel_to_point.ravel()[cells] = np.arange(n)
-    xyz = frame.xyz.reshape(-1, 3).take(cells, axis=0)
-    cloud = PointCloud(xyz=xyz, intensity=np.zeros(n))
-    return cloud, pixel_to_point
+    pixel_to_point.ravel()[cells] = np.arange(cells.size)
+    return PointCloud(xyz=frame.xyz.reshape(-1, 3).take(cells, axis=0)), pixel_to_point
 
 
 def load_sslraw(path) -> SslRawFrame:

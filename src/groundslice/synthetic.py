@@ -377,5 +377,4 @@ def make_random_cloud(seed: int, n: int = 3000) -> PointCloud:
         np.stack([gx, gy, gz], axis=1),
         np.stack([cx, cy, cz], axis=1),
     ])
-    order = rng.permutation(n)
-    return PointCloud(xyz=xyz[order], intensity=rng.uniform(0, 1, n))
+    return PointCloud(xyz=xyz[rng.permutation(n)])

@@ -409,6 +409,47 @@ def test_eval_with_units_matches_serial(small_dataset, tmp_path):
     assert (a / "eval_frames.csv").read_bytes() == (b / "eval_frames.csv").read_bytes()
 
 
+@pytest.fixture
+def executor_units(monkeypatch):
+    """The unit count of every executor the CLI builds, in order."""
+    from groundslice import cli
+
+    built, make = [], cli.SliceExecutor
+
+    def spy(units, backend="process"):
+        built.append(units)
+        return make(units, backend)
+
+    monkeypatch.setattr(cli, "SliceExecutor", spy)
+    return built
+
+
+def test_eval_executor_has_no_more_units_than_its_largest_slice_count(
+        small_dataset, tmp_path, executor_units):
+    a, b = tmp_path / "u3", tmp_path / "u1"
+    run_cli("eval", "--root", small_dataset, "--method", "depth",
+            "--slices", "1,2", "--units", "3", "--out", a)
+    assert executor_units == [2]
+    run_cli("eval", "--root", small_dataset, "--method", "depth",
+            "--slices", "1,2", "--out", b)
+    assert (a / "eval_frames.csv").read_bytes() == (b / "eval_frames.csv").read_bytes()
+
+
+def test_bench_sweeps_every_frame_on_one_executor(small_dataset, tmp_path, executor_units):
+    out = tmp_path / "bench"
+    code = run_cli("bench", "--root", small_dataset, "--frames", "0..1", "--method", "depth",
+                   "--slices", "2", "--units-set", "1,2",
+                   "--config", "tests/data/bench_fast.cfg", "--out", out)
+    assert code == 0
+    assert executor_units == [2]
+    lines = (out / "bench.csv").read_text().splitlines()
+    assert lines[0] == "method,slices,units,frame,wall_ms,speedup"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:4] for row in rows] == [["depth", "2", p, f] for f in ("000000", "000001")
+                                         for p in ("1", "2")]
+    assert all(float(row[4]) > 0 and float(row[5]) > 0 for row in rows)
+
+
 def test_segment_exits_1_when_a_unit_dies(ssl_file, tmp_path, monkeypatch, capsys,
                                           dying_task):
     from groundslice.parallel_exec import SliceExecutor

@@ -197,9 +197,7 @@ def random_image(r, rows, cols, valid_share):
     valid[:, r.uniform(size=cols) < 0.3] = False  # some columns hold no return
     xyz = r.normal(scale=8.0, size=(rows, cols, 3)) * valid[:, :, None]
     point_index = np.where(valid, np.arange(rows * cols).reshape(rows, cols), EMPTY)
-    return RangeImage(rows=rows, cols=cols, xyz=xyz, point_index=point_index,
-                      azimuth_span=(0.0, 1.0), vertical_span=(1.0, -1.0),
-                      n_points=rows * cols)
+    return RangeImage(xyz=xyz, point_index=point_index, n_points=rows * cols)
 
 
 @settings(max_examples=80, deadline=None)

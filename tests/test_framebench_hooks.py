@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from groundslice import default_config
-from groundslice.parallel_exec import frame_from_cloud, run_sliced
+from groundslice.parallel_exec import FrameBand, SliceExecutor, frame_from_cloud, run_sliced
 from groundslice.synthetic import make_random_cloud, write_sequence
 
 FRAMEBENCH = str(Path(__file__).resolve().parent.parent / "framebench")
@@ -60,15 +60,21 @@ def test_spans_record_every_traced_layer(framebench):
     frame = frame_from_cloud(make_random_cloud(3, 1500), "f")
     rec = trace_layers.Recorder()
     spans = trace_layers.Spans(rec)
-    spans.install()
-    try:
-        for method in ("smrf", "ransac", "depth"):
-            run_sliced(frame, method, 1, 1, cfg)
-    finally:
-        spans.remove()
+    with SliceExecutor(2, "process") as executor:
+        spans.install()
+        try:
+            for method in ("smrf", "ransac", "depth"):
+                run_sliced(frame, method, 1, 1, cfg)
+            # the executor layer is traced from the caller, with a worker-bound band
+            run_sliced(frame, "depth", 5, 2, cfg, executor=executor)
+        finally:
+            spans.remove()
     for key in ("seg_smrf.rasterize_ms", "seg_ransac.ms", "ransac.accepted",
-                "range_image.project_ms"):
+                "range_image.project_ms", "range_image.slice_merge_ms",
+                "parallel_exec.dispatch_ms"):
         assert rec.frame.get(key, 0) > 0, key
+    tasks, _ = rec.frame["ipc"]
+    assert any(isinstance(task[2], FrameBand) for unit in tasks for task in unit)
 
 
 def test_smrf_counters_match_the_grid(framebench):

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from groundslice.kitti_io import (GROUND_CLASSES_DEFAULT, GROUND_CLASSES_EXTENDED,
                                   PointCloud, list_sequence, load_frame,
-                                  load_labels, load_velodyne_bin,
-                                  save_velodyne_bin)
+                                  load_labels, load_velodyne_bin)
 
 
 def write_scan(path, records):
@@ -40,7 +39,6 @@ def test_two_point_scan_roundtrips_byte_values(tmp_path):
     assert len(cloud) == 2
     assert dropped.size == 0
     np.testing.assert_array_equal(cloud.xyz, [[1, 2, 3], [-1, 0, 4]])
-    np.testing.assert_array_equal(cloud.intensity, [0.5, 0.0])
 
 
 def test_malformed_scan_length(tmp_path):
@@ -66,11 +64,10 @@ def test_nonfinite_points_dropped_with_indices(tmp_path):
 
 
 def load_oracle(path):
-    """The loader as a float64 (N, 4) copy and a boolean gather."""
+    """The loader as a float64 (N, 4) copy and a boolean gather over all four fields."""
     records = np.fromfile(path, dtype="<f4").reshape(-1, 4).astype(np.float64)
     finite = np.all(np.isfinite(records), axis=1)
-    kept = records[finite]
-    return kept[:, :3], kept[:, 3], np.nonzero(~finite)[0]
+    return records[finite, :3], np.nonzero(~finite)[0]
 
 
 @pytest.mark.parametrize("bad_rows", [(), (0,), (128,), (256,), (0, 128, 256)],
@@ -85,25 +82,12 @@ def test_loader_matches_oracle_with_nonfinite_rows(tmp_path, rng, bad_rows):
     p = tmp_path / "scan.bin"
     records.tofile(p)
     cloud, dropped = load_velodyne_bin(p)
-    xyz, intensity, want_dropped = load_oracle(p)
+    xyz, want_dropped = load_oracle(p)
     np.testing.assert_array_equal(dropped, list(bad_rows))
     assert dropped.dtype == want_dropped.dtype == np.int64
     assert cloud.xyz.tobytes() == xyz.tobytes()
-    assert cloud.intensity.tobytes() == intensity.tobytes()
-    for arr, shape in ((cloud.xyz, (257 - len(bad_rows), 3)),
-                       (cloud.intensity, (257 - len(bad_rows),))):
-        assert arr.shape == shape and arr.dtype == np.float64
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-
-
-def test_roundtrip_bit_identical(tmp_path, rng):
-    records = rng.normal(size=(257, 4)).astype(np.float32)
-    p1 = tmp_path / "a.bin"
-    records.astype("<f4").tofile(p1)
-    cloud, _ = load_velodyne_bin(p1)
-    p2 = tmp_path / "b.bin"
-    save_velodyne_bin(cloud, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert cloud.xyz.shape == (257 - len(bad_rows), 3) and cloud.xyz.dtype == np.float64
+    assert cloud.xyz.flags.c_contiguous and not cloud.xyz.flags.writeable
 
 
 def test_labels_default_set(tmp_path):
@@ -187,9 +171,9 @@ def test_load_frame_count_mismatch(tmp_path):
 
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
-        PointCloud(xyz=np.zeros((3, 2)), intensity=np.zeros(3))
+        PointCloud(xyz=np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        PointCloud(xyz=np.zeros((3, 3)), intensity=np.zeros(2))
+        PointCloud(xyz=np.zeros(3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,5 +197,4 @@ def test_fuzzed_scan_gives_a_finite_cloud_or_names_the_file(tmp_path_factory, re
     finite = np.isfinite(want).all(axis=1)
     np.testing.assert_array_equal(dropped, np.flatnonzero(~finite))
     assert cloud.xyz.tobytes() == want[finite, :3].tobytes()
-    assert cloud.intensity.tobytes() == want[finite, 3].tobytes()
     assert np.isfinite(cloud.xyz).all()

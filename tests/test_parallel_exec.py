@@ -58,13 +58,12 @@ def test_allocate_balance_all_k_p():
 def test_degenerate_pipeline_equals_direct_call(fast_cfg):
     cloud = make_random_cloud(3, 1500)
     frame = frame_from_cloud(cloud, "f")
-    mask, record = run_sliced(frame, "ransac", 1, 1, fast_cfg, seed=4)
+    mask, wall_ms = run_sliced(frame, "ransac", 1, 1, fast_cfg, seed=4)
     direct = ransac_ground(cloud.xyz, fast_cfg.ransac.iterations,
                            fast_cfg.ransac.dist_threshold,
                            fast_cfg.ransac.max_normal_tilt, rng_seed=4)
     np.testing.assert_array_equal(mask, direct)
-    assert record.wall_ms > 0
-    assert record.slices == 1 and record.units == 1
+    assert wall_ms > 0
 
     image = frame.range_image(fast_cfg)
     mask_d, _ = run_sliced(frame, "depth", 1, 1, fast_cfg)
@@ -103,9 +102,8 @@ def assert_unit_counts_bit_identical(method, cfg, executor):
     frame = frame_from_cloud(make_random_cloud(11, 2200), "f")
     ref, _ = run_sliced(frame, method, 5, 1, cfg, seed=2)
     for p in (2, 3, 5):
-        got, rec = run_sliced(frame, method, 5, p, cfg, seed=2, executor=executor)
+        got, _ = run_sliced(frame, method, 5, p, cfg, seed=2, executor=executor)
         np.testing.assert_array_equal(got, ref)
-        assert rec.units == p
 
 
 @pytest.mark.parametrize("method", ["depth", "ransac", "smrf"])
@@ -154,7 +152,7 @@ def test_slice_error_annotated(fast_cfg):
     # plane-consensus method cannot run on 1 point and must name the slice
     xyz = np.array([[10.0, 0.1, -1.0], [10.0, 0.2, -1.1], [10.0, 0.3, -1.2],
                     [-10.0, 0.1, -1.0]])
-    cloud = PointCloud(xyz=xyz, intensity=np.zeros(4))
+    cloud = PointCloud(xyz=xyz)
     frame = frame_from_cloud(cloud, "f")
     with pytest.raises(SliceError, match=r"slice \d"):
         run_sliced(frame, "ransac", 2, 1, fast_cfg)
@@ -194,7 +192,7 @@ def test_empty_slice_is_vacuous(fast_cfg):
     xyz[30:, 1] += 8.0
     parts = partition_azimuth(xyz, 5)
     assert any(p.size == 0 for p in parts)
-    frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=np.zeros(60)), "f")
+    frame = frame_from_cloud(PointCloud(xyz=xyz), "f")
     mask, _ = run_sliced(frame, "smrf", 5, 1, fast_cfg)
     assert mask.size == 60
 
@@ -243,15 +241,14 @@ def test_time_baseline_is_the_median_of_the_timed_runs(repeats, fast_cfg, monkey
 
     walls = [3.0, 0.5, 7.25, 1.0, 2.5, 9.0, 4.0][:repeats + 2]  # two warm-up runs first
     runs = iter(walls)
-    monkeypatch.setattr(parallel_exec, "run_sliced", lambda *a, **kw: (
-        None, BenchmarkRecord("depth", 1, 1, "f", next(runs))))
+    monkeypatch.setattr(parallel_exec, "run_sliced", lambda *a, **kw: (None, next(runs)))
     frame = frame_from_cloud(make_random_cloud(1, 100), "f")
     got = time_baseline(frame, "depth", fast_cfg, repeats=repeats, warmup=2)
     assert got == statistics.median(walls[2:])
 
 
 def test_time_baseline_empty_frame(fast_cfg):
-    cloud = PointCloud(xyz=np.empty((0, 3)), intensity=np.empty(0))
+    cloud = PointCloud(xyz=np.empty((0, 3)))
     frame = frame_from_cloud(cloud, "empty")
     ms = time_baseline(frame, "depth", fast_cfg, repeats=3, warmup=1)
     assert ms > 0
@@ -283,9 +280,9 @@ def test_unit_sweep_monotone_wall_time(fast_cfg):
             for _ in range(3):
                 run_sliced(frame, "depth", 5, p, fast_cfg, executor=executor)
             for _ in range(11):
-                _, rec = run_sliced(frame, "depth", 5, p, fast_cfg,
-                                    executor=executor)
-                times.append(rec.wall_ms)
+                _, wall_ms = run_sliced(frame, "depth", 5, p, fast_cfg,
+                                        executor=executor)
+                times.append(wall_ms)
         finally:
             if executor is not None:
                 executor.close()
@@ -509,7 +506,7 @@ def test_caller_runs_the_last_block_on_its_own_views(fast_cfg, process_pool, mon
 def test_caller_refuses_a_frame_band(backend, fast_cfg):
     from groundslice import process_units
 
-    band = FrameBand(1, 4, 8, 0, 8, (0.0, 1.0), (0.0, 1.0), 0)
+    band = FrameBand(1, 4, 8, 0, 8, 0)
     with SliceExecutor(2, backend) as executor:
         with pytest.raises(AssertionError, match="map its own frame buffer"):
             executor.run_units([[], [("depth", 1, band, fast_cfg.depth, 1)]])

@@ -157,8 +157,8 @@ def test_partition_property(cols, k):
 def test_slice_views_share_parent(rng):
     xyz = rng.normal(scale=12.0, size=(600, 3))
     image = project_spherical(xyz, 16, 64, V_SPAN)
-    spec, views = slice_columns(image, 3)
-    for view, (lo, hi) in zip(views, spec.intervals):
+    intervals, views = slice_columns(image, 3)
+    for view, (lo, hi) in zip(views, intervals):
         assert view.point_index.base is not None
         np.testing.assert_array_equal(view.point_index, image.point_index[:, lo:hi])
         with pytest.raises(ValueError):
@@ -186,22 +186,22 @@ def test_slicing_lossless_multiset(rng):
 def test_merge_all_ground_and_all_empty(rng):
     xyz = rng.normal(scale=12.0, size=(400, 3))
     image = project_spherical(xyz, 16, 64, V_SPAN)
-    spec, views = slice_columns(image, 4)
+    intervals, views = slice_columns(image, 4)
     full = [np.ones((v.rows, v.cols), dtype=bool) for v in views]
-    merged = merge_masks(full, image, spec)
+    merged = merge_masks(full, image, intervals)
     projected = np.zeros(len(xyz), dtype=bool)
     projected[image.point_index[image.point_index != EMPTY]] = True
     np.testing.assert_array_equal(merged, projected)  # losers stay non-ground
     empty = [np.zeros((v.rows, v.cols), dtype=bool) for v in views]
-    assert not merge_masks(empty, image, spec).any()
+    assert not merge_masks(empty, image, intervals).any()
 
 
 def test_merge_matches_ownership_oracle(rng):
     xyz = rng.normal(scale=12.0, size=(500, 3))
     image = project_spherical(xyz, 12, 90, V_SPAN)
-    spec, views = slice_columns(image, 3)
+    intervals, views = slice_columns(image, 3)
     masks = [rng.uniform(size=(v.rows, v.cols)) < 0.4 for v in views]
-    merged = merge_masks(masks, image, spec)
+    merged = merge_masks(masks, image, intervals)
 
     # oracle: walk every pixel of the unsliced image, find its owning interval
     oracle = np.zeros(len(xyz), dtype=bool)
@@ -210,7 +210,7 @@ def test_merge_matches_ownership_oracle(rng):
             idx = image.point_index[r, c]
             if idx == EMPTY:
                 continue
-            for s, (lo, hi) in enumerate(spec.intervals):
+            for s, (lo, hi) in enumerate(intervals):
                 if lo <= c < hi:
                     if masks[s][r, c - lo]:
                         oracle[idx] = True
@@ -220,10 +220,10 @@ def test_merge_matches_ownership_oracle(rng):
 
 def test_merge_dimension_mismatch(rng):
     image = project_spherical(rng.normal(size=(100, 3)), 8, 30, V_SPAN)
-    spec, views = slice_columns(image, 2)
+    intervals, views = slice_columns(image, 2)
     bad = [np.zeros((8, 1), dtype=bool), np.zeros((8, 15), dtype=bool)]
     with pytest.raises(ValueError):
-        merge_masks(bad, image, spec)
+        merge_masks(bad, image, intervals)
 
 
 def test_partition_azimuth_covers_and_orders(rng):

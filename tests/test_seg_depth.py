@@ -68,10 +68,7 @@ def test_random_column_matches_pairwise_oracle(rng):
 
     from groundslice.range_image import RangeImage
     point_index = np.where(valid, np.arange(rows * cols).reshape(rows, cols), -1)
-    image = RangeImage(rows=rows, cols=cols,
-                       xyz=xyz, point_index=point_index,
-                       azimuth_span=(0, 1), vertical_span=(1, -1),
-                       n_points=rows * cols)
+    image = RangeImage(xyz=xyz, point_index=point_index, n_points=rows * cols)
     sensor_height = 1.5
     angles = compute_angle_image(image, sensor_height=sensor_height)
 
@@ -87,10 +84,7 @@ def test_random_column_matches_pairwise_oracle(rng):
 
 def test_angle_image_requires_two_rows():
     from groundslice.range_image import RangeImage
-    image = RangeImage(rows=1, cols=4,
-                       xyz=np.zeros((1, 4, 3)),
-                       point_index=np.full((1, 4), -1),
-                       azimuth_span=(0, 1), vertical_span=(1, -1), n_points=0)
+    image = RangeImage(xyz=np.zeros((1, 4, 3)), point_index=np.full((1, 4), -1), n_points=0)
     with pytest.raises(ValueError):
         compute_angle_image(image)
 
@@ -103,9 +97,7 @@ def test_column_permutation_equivariance(rng):
     point_index = np.where(valid, np.arange(rows * cols).reshape(rows, cols), -1)
 
     def build(v, x, p):
-        return RangeImage(rows=rows, cols=cols,
-                          xyz=x, point_index=p, azimuth_span=(0, 1),
-                          vertical_span=(1, -1), n_points=rows * cols)
+        return RangeImage(xyz=x, point_index=p, n_points=rows * cols)
 
     perm = rng.permutation(cols)
     a = compute_angle_image(build(valid, xyz, point_index))
@@ -393,8 +385,8 @@ def threshold_pairs(d):
 
 def test_street_frame_slices_match_lattice_oracle():
     cfg = default_config()
-    xyz, intensity, _ = simulate_scan(make_street_scene(7), (0.0, 0.0), seed=7)
-    frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=intensity))
+    xyz, _, _ = simulate_scan(make_street_scene(7), (0.0, 0.0), seed=7)
+    frame = frame_from_cloud(PointCloud(xyz=xyz))
     for k in (1, 2, 5):
         for img in smoothed_slices(frame, cfg, k):
             for seed_t, prop_t in threshold_pairs(cfg.depth):
@@ -503,13 +495,13 @@ def test_flat_plane_slicing_exactly_stable():
     """Merged K-slice mask equals the unsliced mask on a flat-plane frame."""
     image = project_spherical(flat_plane_cloud(rows=32, cols=180), 32, 180, V_SPAN)
     cfg = DepthConfig()
-    ref_spec, ref_views = slice_columns(image, 1)
-    ref = merge_masks([depth_segment_image(ref_views[0], cfg)], image, ref_spec)
+    ref_intervals, ref_views = slice_columns(image, 1)
+    ref = merge_masks([depth_segment_image(ref_views[0], cfg)], image, ref_intervals)
     assert ref.any()
     for k in range(2, 6):
-        spec, views = slice_columns(image, k)
+        intervals, views = slice_columns(image, k)
         masks = [depth_segment_image(v, cfg) for v in views]
-        merged = merge_masks(masks, image, spec)
+        merged = merge_masks(masks, image, intervals)
         np.testing.assert_array_equal(merged, ref)
 
 

@@ -33,8 +33,7 @@ def grid_of(surface, cell_size=1.0):
     surface = np.asarray(surface, dtype=float)
     return SmrfGrid(cell_size=cell_size, origin=(0.0, 0.0),
                     elevation=surface.copy(),
-                    occupied=np.ones_like(surface, dtype=bool),
-                    inpainted=np.zeros_like(surface, dtype=bool))
+                    occupied=np.ones_like(surface, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,9 @@ def test_inpainting_fills_everything(rng):
                            rng.uniform(-2, 2, 40)])
     grid = rasterize_min_surface(xyz, 1.0)
     assert np.isfinite(grid.elevation).all()
-    np.testing.assert_array_equal(grid.inpainted, ~grid.occupied)
+    assert grid.inpainted.any()
+    # every filled cell took the elevation of an occupied one
+    assert np.isin(grid.elevation[grid.inpainted], grid.elevation[grid.occupied]).all()
 
 
 def test_inpainting_tie_takes_lower_elevation():
@@ -450,7 +451,7 @@ def test_area_bound_failure_names_its_slice():
     from groundslice.parallel_exec import SliceError, frame_from_cloud, run_sliced
 
     xyz = as_xyz([[0.0, 0.0, 0.0], [1000.0, 1000.0, 0.0], [1.0, 2.0, 0.5]])
-    frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=np.zeros(3)), "f")
+    frame = frame_from_cloud(PointCloud(xyz=xyz), "f")
     with pytest.raises(SliceError, match=r"slice 0: .* over the area of a 500 m square"):
         run_sliced(frame, "smrf", 1, 1, default_config())
 
@@ -465,9 +466,9 @@ from groundslice.seg_smrf import rasterize_min_surface
 from groundslice.synthetic import make_street_scene, simulate_scan
 
 cfg = default_config()
-xyz, intensity, _ = simulate_scan(make_street_scene(3), (0.0, 0.0), seed=3, rows=16, cols=256)
+xyz, _, _ = simulate_scan(make_street_scene(3), (0.0, 0.0), seed=3, rows=16, cols=256)
 assert rasterize_min_surface(xyz, cfg.smrf.cell_size).inpainted.any()
-frame = frame_from_cloud(PointCloud(xyz=xyz, intensity=intensity))
+frame = frame_from_cloud(PointCloud(xyz=xyz))
 loaded = {}
 for method, k in (("depth", 2), ("smrf", 1), ("ransac", 1)):
     run_sliced(frame, method, k, 1, cfg)
@@ -818,9 +819,9 @@ def test_slice_fragility_direction():
     changes = {"depth": [], "smrf": []}
     for seed in range(3):
         scene = make_street_scene(seed, traffic=True)
-        xyz, inten, classes = simulate_scan(scene, (0.0, 0.0),
-                                            seed=seed, rows=32, cols=360)
-        frame = frame_from_cloud(groundslice.PointCloud(xyz=xyz, intensity=inten))
+        xyz, _, classes = simulate_scan(scene, (0.0, 0.0),
+                                        seed=seed, rows=32, cols=360)
+        frame = frame_from_cloud(groundslice.PointCloud(xyz=xyz))
         truth = np.isin(classes, (40, 44, 48))
         for method, deltas in changes.items():
             k1, k2 = (iou(confusion(run_sliced(frame, method, k, 1, cfg)[0],

@@ -63,7 +63,7 @@ def frame_and_config(spec):
     _, seed, rows, cols = spec
     cfg.projection.rows, cfg.projection.cols = rows, cols
     xyz = street_scan(seed, rows, cols)
-    return frame_from_cloud(PointCloud(xyz=xyz, intensity=np.zeros(len(xyz))), "street"), cfg
+    return frame_from_cloud(PointCloud(xyz=xyz), "street"), cfg
 
 
 street_specs = st.tuples(st.just("street"), st.integers(0, 1), st.integers(2, 24),
